@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional, TYPE_CHECKING
 
-from repro.lint.contracts import InvariantChecker
+from repro.lint.contracts import InvariantChecker, contracts_enabled
 from repro.telemetry import MetricsRecorder, current_recorder
 
 from .monitor import DirectPmcMonitor, MonitorError, PollutionMonitor
@@ -159,35 +159,39 @@ class KyotoEngine:
             return
         if (tick_index + 1) % self.monitor_period_ticks != 0:
             return
+        # Resolved once per period: the lookup reads the environment.
+        checking = contracts_enabled()
+        accounts = self.accounts
+        cycles_at_last_sample = self._cycles_at_last_sample
+        recorder = self.recorder
+        period_ticks = self.monitor_period_ticks
         for vm in self.system.vms:
-            account = self.accounts.get(vm.vm_id)
+            account = accounts.get(vm.vm_id)
             if account is None:
                 continue
             cycles_run = vm.cycles_run
-            ran = cycles_run != self._cycles_at_last_sample.get(vm.vm_id, 0)
-            self._cycles_at_last_sample[vm.vm_id] = cycles_run
-            if not ran:
-                self.recorder.inc("kyoto.idle_skips")
+            if cycles_run == cycles_at_last_sample.get(vm.vm_id, 0):
+                recorder.inc("kyoto.idle_skips")
                 continue
+            cycles_at_last_sample[vm.vm_id] = cycles_run
             measured = self._sample_or_estimate(vm)
-            self.invariants.require(
-                measured >= 0.0,
-                "non-negative-sample",
-                f"monitor {self.monitor.name} returned {measured} for "
-                f"{vm.name}",
-            )
+            if checking:
+                self.invariants.require(
+                    measured >= 0.0,
+                    "non-negative-sample",
+                    f"monitor {self.monitor.name} returned {measured} for "
+                    f"{vm.name}",
+                )
             # llc_cap_act is a *rate* (misses/ms); the debit covers the
             # whole monitoring period so that the sustainable average
             # rate equals the booked llc_cap regardless of how often the
             # monitor runs.
-            newly_punished = account.debit(measured * self.monitor_period_ticks)
-            self.recorder.inc("kyoto.samples")
+            newly_punished = account.debit(measured * period_ticks)
+            recorder.inc("kyoto.samples")
             if newly_punished:
-                self.recorder.inc("kyoto.punishments")
-            if self.recorder.enabled:
-                self.recorder.record(
-                    f"kyoto.quota.{vm.name}", tick_index, account.quota
-                )
+                recorder.inc("kyoto.punishments")
+            if recorder.enabled:
+                recorder.record(f"kyoto.quota.{vm.name}", tick_index, account.quota)
 
     def _sample_or_estimate(self, vm: "VirtualMachine") -> float:
         """One monitored sample, degraded to the EWMA estimate on failure.
@@ -228,13 +232,16 @@ class KyotoEngine:
 
     def on_accounting(self, tick_index: int) -> None:
         """Time-slice boundary: every managed VM earns quota."""
+        checking = contracts_enabled()
+        ticks = self.system.ticks_per_slice
         for account in self.accounts.values():
-            account.refill(ticks=self.system.ticks_per_slice)
-            self.invariants.require(
-                account.quota <= account.quota_max + 1e-9,
-                "quota-cap",
-                f"quota {account.quota} exceeds cap {account.quota_max}",
-            )
+            account.refill(ticks=ticks)
+            if checking:
+                self.invariants.require(
+                    account.quota <= account.quota_max + 1e-9,
+                    "quota-cap",
+                    f"quota {account.quota} exceeds cap {account.quota_max}",
+                )
 
     # -- reporting ------------------------------------------------------------------
 

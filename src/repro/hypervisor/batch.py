@@ -58,11 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .system import VirtualizedSystem
     from .vcpu import VCpu
 
-try:  # pragma: no cover - exercised indirectly via the numpy engine
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is optional
-    _np = None
-
 #: Minimum number of memo-missing slots in one sub-step before the numpy
 #: kernel beats per-slot Python arithmetic (array setup is ~5 us).
 NUMPY_MIN_BATCH = 12
@@ -184,11 +179,18 @@ class BatchTickEngine:
     def __init__(
         self, system: "VirtualizedSystem", use_numpy: bool = False
     ) -> None:
-        if use_numpy and _np is None:
-            raise RuntimeError(
-                "tick_engine='batch-numpy' requires numpy, which is not "
-                "importable in this environment"
-            )
+        self._np = None
+        if use_numpy:
+            # Imported here, not at module level, so runs that never select
+            # batch-numpy do not pay numpy's import time and memory.
+            try:
+                import numpy
+            except ImportError:  # pragma: no cover - numpy is optional
+                raise RuntimeError(
+                    "tick_engine='batch-numpy' requires numpy, which is not "
+                    "importable in this environment"
+                ) from None
+            self._np = numpy
         self.system = system
         self.use_numpy = use_numpy
         self.slots: List[_CoreSlot] = [
@@ -487,6 +489,7 @@ class BatchTickEngine:
                     else slot.workload.behavior_at(slot.done_instructions)
                 )
                 occupancy = slot.occ_map.get(slot.gid, 0.0)
+                budget_cycles = slot.budget_cycles
                 if (
                     slot.pending_cycles == 0
                     and behavior is slot.m_behavior
@@ -495,95 +498,93 @@ class BatchTickEngine:
                     # Memo hit: bitwise-identical step inputs, reuse the
                     # raw step outputs.
                     instructions = slot.r_instructions
-                    if jitter_stream is None and slot.boundary_fn is None:
-                        finite_total = slot.finite_total
-                        if finite_total is None or instructions < max(
-                            0.0, finite_total - slot.done_instructions
-                        ):
-                            # Unclipped: scale is exactly 1.0, outputs
-                            # pass through unchanged.
-                            accesses = slot.r_accesses
-                            misses = slot.r_misses
-                            budget_cycles = slot.budget_cycles
-                            slot.t_cycles += budget_cycles
-                            slot.t_instructions += instructions
-                            slot.t_accesses += accesses
-                            slot.t_misses += misses
-                            slot.done_instructions += instructions
-                            slot.lt_cycles += budget_cycles
-                            slot.lt_instructions += instructions
-                            slot.lt_misses += misses
-                            slot.p_cycles += budget_cycles
-                            carry = slot.c_instr + instructions
-                            whole = int(carry)
-                            slot.c_instr = carry - whole
-                            slot.p_instr += whole
-                            carry = slot.c_miss + misses
-                            whole = int(carry)
-                            slot.c_miss = carry - whole
-                            slot.p_miss += whole
-                            carry = slot.c_access + accesses
-                            whole = int(carry)
-                            slot.c_access = carry - whole
-                            slot.p_ref += whole
-                            if not slot.executed:
-                                slot.executed = True
-                            slot.sub_miss = misses
-                            slot.sub_cap = slot.b_cap
-                            if slot.last_exec_stamp != prev_stamp:
-                                dirty[slot.socket_id] = True
-                            slot.last_exec_stamp = stamp
-                            if (
-                                finite_total is not None
-                                and slot.done_instructions >= finite_total
-                            ):
-                                self._mark_finished(slot, now_usec)
-                            continue
+                    accesses = slot.r_accesses
+                    misses = slot.r_misses
+                    memo_hit = True
+                else:
+                    # Memo miss: pay any pending penalty, recompute the
+                    # step.
+                    pending_cycles = slot.pending_cycles
+                    if pending_cycles:
+                        penalty = min(budget_cycles, pending_cycles)
+                        slot.pending_cycles = pending_cycles - penalty
+                        slot.pending_dirty = True
+                        work_cycles = budget_cycles - penalty
+                    else:
+                        work_cycles = budget_cycles
+                    if defer is not None:
+                        defer.append((slot, behavior, occupancy, work_cycles))
+                        continue
+                    instructions, accesses, misses = self._step_floats(
+                        slot, behavior, occupancy, work_cycles
+                    )
+                    if work_cycles == budget_cycles:
+                        slot.m_behavior = behavior
+                        slot.m_occ = occupancy
+                        slot.r_instructions = instructions
+                        slot.r_accesses = accesses
+                        slot.r_misses = misses
+                    memo_hit = False
+                finite_total = slot.finite_total
+                unclipped = finite_total is None or instructions < max(
+                    0.0, finite_total - slot.done_instructions
+                )
+                if (
+                    not unclipped
+                    or jitter_stream is not None
+                    or slot.boundary_fn is not None
+                ):
                     self._finish_step(
                         slot,
-                        slot.budget_cycles,
+                        budget_cycles,
                         instructions,
-                        slot.r_accesses,
-                        slot.r_misses,
+                        accesses,
+                        misses,
                         jitter_fraction,
                         jitter_stream,
                         now_usec,
                         stamp,
                     )
                     continue
-                # Memo miss: pay any pending penalty, recompute the step.
-                budget_cycles = slot.budget_cycles
-                pending_cycles = slot.pending_cycles
-                if pending_cycles:
-                    penalty = min(budget_cycles, pending_cycles)
-                    slot.pending_cycles = pending_cycles - penalty
-                    slot.pending_dirty = True
-                    work_cycles = budget_cycles - penalty
-                else:
-                    work_cycles = budget_cycles
-                if defer is not None:
-                    defer.append((slot, behavior, occupancy, work_cycles))
-                    continue
-                instructions, accesses, misses = self._step_floats(
-                    slot, behavior, occupancy, work_cycles
-                )
-                if work_cycles == budget_cycles:
-                    slot.m_behavior = behavior
-                    slot.m_occ = occupancy
-                    slot.r_instructions = instructions
-                    slot.r_accesses = accesses
-                    slot.r_misses = misses
-                self._finish_step(
-                    slot,
-                    budget_cycles,
-                    instructions,
-                    accesses,
-                    misses,
-                    jitter_fraction,
-                    jitter_stream,
-                    now_usec,
-                    stamp,
-                )
+                # Unclipped, unjittered, no boundary: _finish_step's scale
+                # is exactly 1.0 (or 0.0 on a zero-instruction step, whose
+                # accesses and misses are 0.0 already), so the outputs
+                # accumulate unchanged.
+                slot.t_cycles += budget_cycles
+                slot.t_instructions += instructions
+                slot.t_accesses += accesses
+                slot.t_misses += misses
+                slot.done_instructions += instructions
+                slot.lt_cycles += budget_cycles
+                slot.lt_instructions += instructions
+                slot.lt_misses += misses
+                slot.p_cycles += budget_cycles
+                carry = slot.c_instr + instructions
+                whole = int(carry)
+                slot.c_instr = carry - whole
+                slot.p_instr += whole
+                carry = slot.c_miss + misses
+                whole = int(carry)
+                slot.c_miss = carry - whole
+                slot.p_miss += whole
+                carry = slot.c_access + accesses
+                whole = int(carry)
+                slot.c_access = carry - whole
+                slot.p_ref += whole
+                if not slot.executed:
+                    slot.executed = True
+                slot.sub_miss = misses
+                slot.sub_cap = slot.b_cap
+                # A recomputed step may contribute a different pressure
+                # than last sub-step, so a miss always dirties its socket.
+                if not memo_hit or slot.last_exec_stamp != prev_stamp:
+                    dirty[slot.socket_id] = True
+                slot.last_exec_stamp = stamp
+                if (
+                    finite_total is not None
+                    and slot.done_instructions >= finite_total
+                ):
+                    self._mark_finished(slot, now_usec)
 
             if defer:
                 self._run_deferred(defer, now_usec, stamp)
@@ -785,15 +786,16 @@ class BatchTickEngine:
                     instructions, accesses, misses, now_usec, stamp,
                 )
             return
-        wss = _np.empty(count)
-        lapki = _np.empty(count)
-        theta = _np.empty(count)
-        stream = _np.empty(count)
-        base_cpi = _np.empty(count)
-        mlp = _np.empty(count)
-        memory_cycles = _np.empty(count)
-        occupancy_arr = _np.empty(count)
-        work = _np.empty(count)
+        np = self._np
+        wss = np.empty(count)
+        lapki = np.empty(count)
+        theta = np.empty(count)
+        stream = np.empty(count)
+        base_cpi = np.empty(count)
+        mlp = np.empty(count)
+        memory_cycles = np.empty(count)
+        occupancy_arr = np.empty(count)
+        work = np.empty(count)
         for index, (slot, behavior, occupancy, work_cycles) in enumerate(
             deferred
         ):
@@ -816,15 +818,15 @@ class BatchTickEngine:
             occupancy_arr[index] = occupancy
             work[index] = float(work_cycles)
         trivial = (wss <= 0.0) | (lapki == 0.0)
-        safe_wss = _np.where(trivial, 1.0, wss)
-        resident = _np.minimum(
-            1.0, _np.maximum(0.0, occupancy_arr / safe_wss)
+        safe_wss = np.where(trivial, 1.0, wss)
+        resident = np.minimum(
+            1.0, np.maximum(0.0, occupancy_arr / safe_wss)
         )
         # np.power diverges from CPython pow by 1 ulp on ~4% of inputs
         # (SIMD pow); x ** 1.0 == x bitwise, so only theta != 1.0 needs
         # the per-element Python pow.
         reuse_hit = resident.copy()
-        for index in _np.nonzero(theta != 1.0)[0]:
+        for index in np.nonzero(theta != 1.0)[0]:
             reuse_hit[index] = float(resident[index]) ** float(theta[index])
         hit = (1.0 - stream) * reuse_hit
         hit[trivial] = 1.0

@@ -9,9 +9,9 @@ with — can be exercised by tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict
+from typing import Dict, List, Tuple
 
 
 class PmcEvent(Enum):
@@ -21,6 +21,14 @@ class PmcEvent(Enum):
     UNHALTED_CORE_CYCLES = "unhalted_core_cycles"
     INSTRUCTIONS_RETIRED = "instructions_retired"
     LLC_REFERENCES = "llc_references"
+
+
+#: The one fixed event order.  Every counter bank, perfctr baseline and
+#: per-vCPU account row is a sequence indexed by position in this tuple,
+#: so the virtualisation hot path never hashes an enum member.
+EVENTS: Tuple[PmcEvent, ...] = tuple(PmcEvent)
+#: Position of each event in :data:`EVENTS`.
+EVENT_INDEX: Dict[PmcEvent, int] = {event: index for index, event in enumerate(EVENTS)}
 
 
 #: Width of the modelled counters, in bits (Intel architectural PMCs).
@@ -76,13 +84,14 @@ class CoreCounters:
 
     def __init__(self, core_id: int) -> None:
         self.core_id = core_id
-        self._counters: Dict[PmcEvent, HardwareCounter] = {
-            event: HardwareCounter(event) for event in PmcEvent
-        }
+        #: One live counter per event, in :data:`EVENTS` order.
+        self.counters: Tuple[HardwareCounter, ...] = tuple(
+            HardwareCounter(event) for event in EVENTS
+        )
 
     def add(self, event: PmcEvent, amount: int) -> None:
         """Count ``amount`` occurrences of ``event`` on this core."""
-        self._counters[event].add(amount)
+        self.counters[EVENT_INDEX[event]].add(amount)
 
     def counter(self, event: PmcEvent) -> HardwareCounter:
         """The live counter object for ``event``.
@@ -91,16 +100,20 @@ class CoreCounters:
         (``write`` included), so hot paths may hold the reference and
         call :meth:`HardwareCounter.add` directly.
         """
-        return self._counters[event]
+        return self.counters[EVENT_INDEX[event]]
 
     def read(self, event: PmcEvent) -> int:
         """Raw value of ``event``'s counter."""
-        return self._counters[event].read()
+        return self.counters[EVENT_INDEX[event]].read()
 
     def write(self, event: PmcEvent, value: int) -> None:
         """Overwrite ``event``'s counter (context-switch restore)."""
-        self._counters[event].write(value)
+        self.counters[EVENT_INDEX[event]].write(value)
+
+    def raw_values(self) -> List[int]:
+        """Raw values of all counters, in :data:`EVENTS` order."""
+        return [counter.raw for counter in self.counters]
 
     def read_all(self) -> Dict[PmcEvent, int]:
         """Snapshot all counters."""
-        return {event: counter.read() for event, counter in self._counters.items()}
+        return dict(zip(EVENTS, self.raw_values()))

@@ -21,26 +21,31 @@ quantities equation 1 needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Tuple
 
-from .counters import CoreCounters, PmcEvent, delta
+from .counters import EVENT_INDEX, EVENTS, CoreCounters, HardwareCounter, PmcEvent, delta
+
+
+def _zero_row() -> List[int]:
+    return [0] * len(EVENTS)
 
 
 @dataclass
 class VcpuPmcAccount:
-    """Cumulative virtualised counters of one vCPU."""
+    """Cumulative virtualised counters of one vCPU.
+
+    Both rows are int lists indexed by position in
+    :data:`~repro.pmc.counters.EVENTS`; :meth:`read` is the event-keyed
+    view.
+    """
 
     vcpu_id: int
-    totals: Dict[PmcEvent, int] = field(
-        default_factory=lambda: {event: 0 for event in PmcEvent}
-    )
+    totals: List[int] = field(default_factory=_zero_row)
     #: Values of ``totals`` at the previous monitoring sample.
-    last_sample: Dict[PmcEvent, int] = field(
-        default_factory=lambda: {event: 0 for event in PmcEvent}
-    )
+    last_sample: List[int] = field(default_factory=_zero_row)
 
     def read(self, event: PmcEvent) -> int:
-        return self.totals[event]
+        return self.totals[EVENT_INDEX[event]]
 
 
 class PerfctrError(Exception):
@@ -53,14 +58,16 @@ class PerfctrVirtualizer:
     def __init__(self, core_counters: Dict[int, CoreCounters]) -> None:
         self._cores = core_counters
         self._accounts: Dict[int, VcpuPmcAccount] = {}
-        # vcpu_id -> (core_id, {event: baseline_raw})
-        self._active: Dict[int, tuple] = {}
+        # vcpu_id -> (the core's counters, their baseline raw values), both
+        # in EVENTS order; flush_running re-bases the baselines in place.
+        self._active: Dict[int, Tuple[Tuple[HardwareCounter, ...], List[int]]] = {}
 
     def account(self, vcpu_id: int) -> VcpuPmcAccount:
         """The cumulative account of ``vcpu_id`` (created on first use)."""
-        if vcpu_id not in self._accounts:
-            self._accounts[vcpu_id] = VcpuPmcAccount(vcpu_id)
-        return self._accounts[vcpu_id]
+        account = self._accounts.get(vcpu_id)
+        if account is None:
+            account = self._accounts[vcpu_id] = VcpuPmcAccount(vcpu_id)
+        return account
 
     def retire_account(self, vcpu_id: int) -> None:
         """Drop a retired vCPU's cumulative account.
@@ -82,24 +89,38 @@ class PerfctrVirtualizer:
             raise PerfctrError(
                 f"vCPU {vcpu_id} switched in twice without switching out"
             )
-        baselines = self._cores[core_id].read_all()
-        self._active[vcpu_id] = (core_id, baselines)
+        bank = self._cores[core_id]
+        self._active[vcpu_id] = (bank.counters, bank.raw_values())
 
     def context_switch_out(self, vcpu_id: int) -> Dict[PmcEvent, int]:
         """Bank counter deltas when ``vcpu_id`` leaves its core."""
         try:
-            core_id, baselines = self._active.pop(vcpu_id)
+            counters, baselines = self._active.pop(vcpu_id)
         except KeyError:
             raise PerfctrError(
                 f"vCPU {vcpu_id} switched out but was never switched in"
             ) from None
-        current = self._cores[core_id].read_all()
-        account = self.account(vcpu_id)
-        deltas: Dict[PmcEvent, int] = {}
-        for event in PmcEvent:
-            d = delta(baselines[event], current[event])
-            deltas[event] = d
-            account.totals[event] += d
+        totals = self.account(vcpu_id).totals
+        return dict(zip(EVENTS, self._bank(totals, counters, baselines)))
+
+    @staticmethod
+    def _bank(
+        totals: List[int],
+        counters: Tuple[HardwareCounter, ...],
+        baselines: List[int],
+    ) -> List[int]:
+        """Add the deltas since ``baselines`` to ``totals`` and re-base.
+
+        Returns the deltas in EVENTS order; ``baselines`` then holds the
+        current raw values, as a fresh switch-in would.
+        """
+        deltas = []
+        for index, counter in enumerate(counters):
+            raw = counter.raw
+            amount = delta(baselines[index], raw)
+            baselines[index] = raw
+            totals[index] += amount
+            deltas.append(amount)
         return deltas
 
     def is_running(self, vcpu_id: int) -> bool:
@@ -112,11 +133,9 @@ class PerfctrVirtualizer:
         Equivalent to an out+in pair; used by the periodic monitor so it
         can sample a vCPU mid-quantum.
         """
-        if vcpu_id not in self._active:
-            return
-        core_id, __ = self._active[vcpu_id]
-        self.context_switch_out(vcpu_id)
-        self.context_switch_in(vcpu_id, core_id)
+        active = self._active.get(vcpu_id)
+        if active is not None:
+            self._bank(self.account(vcpu_id).totals, *active)
 
     def sample(self, vcpu_id: int) -> Dict[PmcEvent, int]:
         """Deltas of the cumulative account since the previous sample.
@@ -127,9 +146,9 @@ class PerfctrVirtualizer:
         """
         self.flush_running(vcpu_id)
         account = self.account(vcpu_id)
-        deltas = {
-            event: account.totals[event] - account.last_sample[event]
-            for event in PmcEvent
-        }
-        account.last_sample = dict(account.totals)
+        totals = account.totals
+        deltas = dict(
+            zip(EVENTS, [now - then for now, then in zip(totals, account.last_sample)])
+        )
+        account.last_sample = totals.copy()
         return deltas

@@ -20,6 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cachesim.perfmodel import CacheBehavior
+from repro.core.ks4xen import KS4Xen
+from repro.core.monitor import DirectPmcMonitor
 from repro.hardware.latency import PAPER_LATENCIES
 from repro.hardware.specs import CacheSpec, KIB, MIB, MachineSpec, SocketSpec
 from repro.hypervisor.system import VirtualizedSystem
@@ -30,6 +32,7 @@ from repro.schedulers.credit import CreditScheduler
 from repro.workloads.base import Workload
 from repro.workloads.interactive import InteractiveWorkload
 from repro.workloads.phased import Phase, PhasedWorkload
+from repro.workloads.profiles import application_behavior, application_workload
 
 from conftest import make_vm
 
@@ -392,6 +395,119 @@ class TestChurnEquivalence:
         reference = _churn_fingerprint("scalar", ops, 11)
         for engine in ENGINES[1:]:
             assert _churn_fingerprint(engine, ops, 11) == reference, engine
+
+
+# -- Kyoto under overcommit ----------------------------------------------------
+
+#: 27 single-vCPU VMs on the 8-core two-socket machine: 3.4:1 overcommit.
+#: Plain VMs run the calibrated polluters and victims, finite ones finish
+#: mid-run (clipped steps), interactive ones block at burst boundaries.
+_OVERCOMMIT_FLEET = (
+    [("plain", app) for app in ("lbm", "mcf", "gcc", "povray") * 3]
+    + [("finite", app) for app in ("lbm", "gcc", "mcf", "povray", "bzip", "lbm")]
+    + [("interactive", app) for app in ("gcc", "lbm", "povray", "mcf", "bzip")]
+    + [("plain", "bzip"), ("plain", "lbm"), ("plain", "mcf"), ("plain", "gcc")]
+)
+
+
+def _overcommit_workload(kind: str, index: int, app: str) -> Workload:
+    if kind == "finite":
+        return application_workload(app, total_instructions=2e7 + 3e6 * index)
+    if kind == "interactive":
+        return InteractiveWorkload(
+            f"w{index}",
+            application_behavior(app),
+            burst_instructions=3e6,
+            think_usec=4_000,
+        )
+    return application_workload(app)
+
+
+def _kyoto_overcommit_fingerprint(engine, jitter, seed, ticks):
+    """KS4Xen + DirectPmcMonitor at >3:1 overcommit; every observable.
+
+    Occupants change every tick, so most slot-steps miss the step memo,
+    and Kyoto samples the running vCPUs mid-quantum (``flush_running``)
+    each monitoring period.
+    """
+    system = VirtualizedSystem(
+        KS4Xen(),
+        two_socket_machine(),
+        perf_jitter_fraction=jitter,
+        seed=seed,
+        tick_engine=engine,
+    )
+    assert isinstance(system.scheduler.kyoto.monitor, DirectPmcMonitor)
+    vms = [
+        system.create_vm(
+            VmConfig(
+                name=f"vm{index}",
+                workload=_overcommit_workload(kind, index, app),
+                memory_node=index % 2,
+                llc_cap=150_000,
+            )
+        )
+        for index, (kind, app) in enumerate(_OVERCOMMIT_FLEET)
+    ]
+    kyoto = system.scheduler.kyoto
+    trail = []
+
+    def observe(s, tick):
+        trail.append(
+            (
+                dict(s.last_tick_cycles),
+                dict(s.last_tick_instructions),
+                dict(s.last_tick_misses),
+                tuple(
+                    tuple(sorted(d.snapshot().items()))
+                    for d in s.llc_domains
+                ),
+                tuple((kyoto.quota(vm), kyoto.punishments(vm)) for vm in vms),
+            )
+        )
+
+    system.add_tick_observer(observe)
+    system.run_ticks(ticks)
+    final = []
+    for vm in vms:
+        vcpu = vm.vcpus[0]
+        system.perfctr.flush_running(vcpu.gid)
+        account = system.perfctr.account(vcpu.gid)
+        pollution = kyoto.account_of(vm)
+        final.append(
+            (
+                vcpu.cycles_run,
+                vcpu.instructions_retired,
+                vcpu.llc_misses,
+                vcpu.progress.instructions_done,
+                vcpu.progress.finished_at_usec,
+                vcpu.blocked_until_usec,
+                vcpu.batch_mirror(),
+                tuple(account.read(event) for event in PmcEvent),
+                tuple(account.last_sample),
+                pollution.quota,
+                pollution.punishments,
+                pollution.samples,
+                pollution.total_debited,
+            )
+        )
+    return trail, final
+
+
+class TestKyotoOvercommitEquivalence:
+    @pytest.mark.parametrize("jitter", [0.0, 0.03])
+    def test_ks4xen_overcommit_bit_identical(self, jitter):
+        reference = _kyoto_overcommit_fingerprint("scalar", jitter, 5, 45)
+        trail, final = reference
+        # The case is not vacuous: Kyoto demoted someone, a finite
+        # workload finished and an interactive one blocked.
+        assert any(row[10] for row in final)
+        assert any(row[4] is not None for row in final)
+        assert any(row[5] for row in final)
+        for engine in ENGINES[1:]:
+            assert (
+                _kyoto_overcommit_fingerprint(engine, jitter, 5, 45) == reference
+            ), engine
 
 
 # -- multi-socket accounting bugfixes -----------------------------------------

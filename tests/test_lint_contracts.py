@@ -204,3 +204,34 @@ def test_full_simulation_run_passes_contracts():
     kyoto = system.scheduler.kyoto
     assert kyoto.invariants.evaluated("quota-cap") > 0
     assert not kyoto.invariants.violations
+
+
+def _short_ks4xen_run():
+    from repro.core.ks4xen import KS4Xen
+
+    system = VirtualizedSystem(KS4Xen(), paper_machine())
+    for name, app, core in (("vsen", "gcc", 0), ("vdis", "lbm", 1), ("vmcf", "mcf", 1)):
+        system.create_vm(
+            VmConfig(
+                name=name,
+                workload=application_workload(app),
+                pinned_cores=[core],
+                llc_cap=250_000,
+            )
+        )
+    system.run_ticks(30)
+    return system.scheduler.kyoto
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_kyoto_period_contract_counts_pinned(enabled):
+    """The Kyoto period resolves ``contracts_enabled()`` once per period;
+    that must change its cost, not its coverage.  Over 30 ticks, vsen and
+    one of vdis/vmcf (which share core 1) run each tick, and 10 slices
+    refill three accounts."""
+    set_contracts_enabled(enabled)
+    kyoto = _short_ks4xen_run()
+    expected_samples, expected_refills = (60, 30) if enabled else (0, 0)
+    assert kyoto.invariants.evaluated("non-negative-sample") == expected_samples
+    assert kyoto.invariants.evaluated("quota-cap") == expected_refills
+    assert sum(account.samples for account in kyoto.accounts.values()) == 60

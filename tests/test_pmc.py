@@ -1,6 +1,8 @@
 """Tests for the PMC model and the perfctr-style virtualisation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.pmc.counters import (
     COUNTER_MASK,
@@ -145,3 +147,121 @@ class TestPerfctr:
 
     def test_flush_running_noop_when_descheduled(self):
         self.virt.flush_running(42)  # must not raise
+
+
+# -- array-backed virtualisation vs a dict-based reference model ---------------
+
+
+class _DictPerfctrModel:
+    """The perfctr protocol written with enum-keyed dicts throughout.
+
+    An independent statement of the semantics the array-backed
+    :class:`PerfctrVirtualizer` must keep: raw 48-bit counters per core,
+    baseline snapshots at switch-in, wrap-aware deltas banked at
+    switch-out, flush as an out+in pair, and samples as the change of the
+    cumulative totals since the previous sample.  Method names match the
+    virtualiser's, so one op sequence drives both.
+    """
+
+    def __init__(self, core_ids):
+        self.raw = {core: {event: 0 for event in PmcEvent} for core in core_ids}
+        self.totals = {}
+        self.last = {}
+        self.active = {}
+
+    @staticmethod
+    def _zeros():
+        return {event: 0 for event in PmcEvent}
+
+    def add(self, core, event, amount):
+        self.raw[core][event] = (self.raw[core][event] + amount) & COUNTER_MASK
+
+    def context_switch_in(self, vcpu, core):
+        if vcpu in self.active:
+            raise PerfctrError("double switch-in")
+        self.active[vcpu] = (core, dict(self.raw[core]))
+
+    def context_switch_out(self, vcpu):
+        if vcpu not in self.active:
+            raise PerfctrError("switch-out without switch-in")
+        core, baselines = self.active.pop(vcpu)
+        totals = self.totals.setdefault(vcpu, self._zeros())
+        deltas = {}
+        for event in PmcEvent:
+            deltas[event] = (self.raw[core][event] - baselines[event]) & COUNTER_MASK
+            totals[event] += deltas[event]
+        return deltas
+
+    def flush_running(self, vcpu):
+        if vcpu in self.active:
+            core = self.active[vcpu][0]
+            self.context_switch_out(vcpu)
+            self.context_switch_in(vcpu, core)
+
+    def sample(self, vcpu):
+        self.flush_running(vcpu)
+        totals = self.totals.setdefault(vcpu, self._zeros())
+        last = self.last.get(vcpu, self._zeros())
+        deltas = {event: totals[event] - last[event] for event in PmcEvent}
+        self.last[vcpu] = dict(totals)
+        return deltas
+
+    def retire_account(self, vcpu):
+        if vcpu in self.active:
+            raise PerfctrError("retire while switched in")
+        self.totals.pop(vcpu, None)
+        self.last.pop(vcpu, None)
+
+    def read(self, vcpu, event):
+        return self.totals.get(vcpu, self._zeros())[event]
+
+
+_VCPUS = st.integers(min_value=0, max_value=1)
+_CORES = st.integers(min_value=0, max_value=1)
+_AMOUNTS = st.one_of(
+    st.integers(min_value=0, max_value=10_000),
+    # Large increments push the counters across the 2**48 wrap.
+    st.integers(min_value=COUNTER_MASK - 10_000, max_value=COUNTER_MASK),
+)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("context_switch_in"), _VCPUS, _CORES),
+        st.tuples(st.just("context_switch_out"), _VCPUS),
+        st.tuples(st.just("flush_running"), _VCPUS),
+        st.tuples(st.just("sample"), _VCPUS),
+        st.tuples(st.just("retire_account"), _VCPUS),
+        st.tuples(st.just("add"), _CORES, st.sampled_from(list(PmcEvent)), _AMOUNTS),
+    ),
+    min_size=20,
+    max_size=80,
+)
+
+
+def _apply(virtualiser, add, op):
+    """Run one op; return its result, or ``PerfctrError`` if it raised."""
+    kind, *args = op
+    try:
+        return add(*args) if kind == "add" else getattr(virtualiser, kind)(*args)
+    except PerfctrError:
+        return PerfctrError
+
+
+class TestPerfctrMatchesDictModel:
+    @settings(max_examples=300, deadline=None)
+    @given(ops=_OPS)
+    def test_array_backed_perfctr_matches_dict_model(self, ops):
+        cores = {0: CoreCounters(0), 1: CoreCounters(1)}
+        virt = PerfctrVirtualizer(cores)
+        model = _DictPerfctrModel(cores)
+
+        def add_to_core(core, event, amount):
+            cores[core].add(event, amount)
+
+        for op in ops:
+            assert _apply(virt, add_to_core, op) == _apply(model, model.add, op), op
+            for vcpu in range(2):
+                assert virt.is_running(vcpu) == (vcpu in model.active)
+                for event in PmcEvent:
+                    assert virt.account(vcpu).read(event) == model.read(vcpu, event)
+            for core in cores:
+                assert cores[core].read_all() == model.raw[core]

@@ -10,6 +10,8 @@ Each benchmark builds its system-under-test from fixed seeds inside
 * ``vm_churn_soak`` — the service loop's dynamic lifecycle (admit,
   batched-slot rebuild, retire) on the 4x16-core machine,
 * ``occupancy_relax`` — the per-substep shared-LLC relaxation alone,
+* ``occupancy_relax_dense`` — the same, in the shape every relaxation
+  takes at a dense schedule (16 contributors, no dead lines),
 * ``credit_pick_steal`` — credit-scheduler placement: ``_pick`` on a
   loaded core plus the ``_steal`` scan from idle cores,
 * ``scenario_materialize`` — spec -> live-system construction,
@@ -192,8 +194,11 @@ def _churn_soak_body(loop: ServiceLoop) -> List[Any]:
 
 _RELAX_ROUNDS = 8000
 
+#: A domain and the (pressures, caps) rounds the body cycles through.
+_RelaxPayload = Tuple[LlcOccupancyDomain, List[Tuple[Dict[int, float], Dict[int, float]]]]
 
-def _occupancy_setup() -> Tuple[LlcOccupancyDomain, List[Tuple[Dict[int, float], Dict[int, float]]]]:
+
+def _occupancy_setup() -> _RelaxPayload:
     domain = LlcOccupancyDomain(_PAPER_LLC_LINES)
     # Two alternating active sets so descheduled owners' dead lines are
     # consumed every other round (both relax phases exercised).
@@ -203,14 +208,29 @@ def _occupancy_setup() -> Tuple[LlcOccupancyDomain, List[Tuple[Dict[int, float],
     return domain, [(even, caps), (odd, caps)]
 
 
-def _occupancy_body(
-    payload: Tuple[LlcOccupancyDomain, List[Tuple[Dict[int, float], Dict[int, float]]]]
-) -> float:
+def _occupancy_body(payload: _RelaxPayload) -> float:
     domain, rounds = payload
     for index in range(_RELAX_ROUNDS):
         pressures, caps = rounds[index % len(rounds)]
         domain.relax(pressures, caps)
     return round(domain.used_lines, 3)
+
+
+#: One socket of the dense 4x16-core machine: 20 MiB of 64-byte lines.
+_DENSE_LLC_LINES = 20 * MIB // 64
+
+
+def _occupancy_dense_setup() -> _RelaxPayload:
+    domain = LlcOccupancyDomain(_DENSE_LLC_LINES)
+    # Sixteen owners, all contributing every round, so no line is ever
+    # dead; their pressures rotate so the state keeps moving (the no-op
+    # memo never hits).  The largest share, 1550/18800 of the socket
+    # (~27k lines), stays below every cap: the waterfill never saturates.
+    caps = {gid: 60_000.0 + 1_000.0 * gid for gid in range(16)}
+    return domain, [
+        ({gid: 800.0 + 50.0 * ((gid + shift) % 16) for gid in range(16)}, caps)
+        for shift in range(4)
+    ]
 
 
 # -- credit placement --------------------------------------------------------
@@ -366,6 +386,15 @@ BENCHMARKS: Tuple[Benchmark, ...] = (
             f"{_RELAX_ROUNDS} rounds"
         ),
         setup=_occupancy_setup,
+        body=_occupancy_body,
+    ),
+    Benchmark(
+        name="occupancy_relax_dense",
+        description=(
+            f"shared-LLC relaxation, dense shape: 16 owners all active on "
+            f"a 20 MiB socket, no saturation, {_RELAX_ROUNDS} rounds"
+        ),
+        setup=_occupancy_dense_setup,
         body=_occupancy_body,
     ),
     Benchmark(

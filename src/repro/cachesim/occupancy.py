@@ -185,15 +185,23 @@ class LlcOccupancyDomain:
         self._occupancy.clear()
         self._used_lines = 0.0
 
-    def _prune(self, epsilon: float = 1e-9) -> None:
+    def _prune(
+        self, epsilon: float = 1e-9, used: Optional[float] = None
+    ) -> None:
         """Drop sub-epsilon owners; refreshes the used-lines cache.
 
         Every mutation path ends in a ``_prune`` call, which is what keeps
-        the cache coherent with the occupancy map.
+        the cache coherent with the occupancy map.  ``used`` is the
+        caller's own sum of the map as it stands; when nothing is pruned
+        it is stored as is, being exactly what a re-sum would return.
         """
-        for owner in [o for o, occ in self._occupancy.items() if occ <= epsilon]:
+        doomed = [o for o, occ in self._occupancy.items() if occ <= epsilon]
+        for owner in doomed:
             del self._occupancy[owner]
-        self._refresh_used()
+        if doomed or used is None:
+            self._refresh_used()
+        else:
+            self._used_lines = used
 
     # -- continuous-time relaxation (the machine simulation's fast path) ------
 
@@ -209,7 +217,8 @@ class LlcOccupancyDomain:
         during the elapsed interval (its misses); ``footprint_caps[owner]``
         bounds its resident footprint (working-set size in lines);
         ``active`` lists the owners currently *executing* (defaults to the
-        keys of ``pressures``).
+        keys of ``pressures``).  Pressures are miss counts: a negative one
+        raises :class:`ValueError`.
 
         The naive per-batch exchange (:meth:`insert`) is numerically
         unstable once the batch size approaches the cache size — at
@@ -230,9 +239,9 @@ class LlcOccupancyDomain:
           by footprints, with one cache-capacity's worth of insertions as
           the exponential time constant.
         """
+        if pressures and min(pressures.values()) < 0:
+            raise ValueError(f"negative insertion pressure: {pressures}")
         total_insertions = sum(pressures.values())
-        if total_insertions < 0:
-            raise ValueError(f"negative total insertion pressure: {pressures}")
         if total_insertions == 0:
             return
         memo = self._relax_memo
@@ -250,43 +259,50 @@ class LlcOccupancyDomain:
             # Same inputs against the same state as the last provably
             # bitwise-no-op call: the relaxation is at its fixed point.
             return
-        active_set = set(pressures) if active is None else set(active)
-        changed = False
-
-        # Phase 1: eviction pressure beyond free space consumes inactive
-        # owners' (dead) lines first, proportionally among them.  (Two
-        # passes over the same filter instead of building a dead-owner
-        # dict: this runs per sub-step and the second pass is usually
-        # skipped.)
         occupancy = self._occupancy
-        overflow = max(0.0, total_insertions - self.free_lines)
-        dead_total = 0.0
-        for owner, occ in occupancy.items():
-            if owner not in active_set and occ > 0.0:
-                dead_total += occ
-        from_dead = min(overflow, dead_total)
-        if from_dead > 0:
-            for owner, occ in occupancy.items():
-                if owner not in active_set and occ > 0.0:
-                    shrunk = occ - from_dead * occ / dead_total
-                    if shrunk != occ:
-                        occupancy[owner] = shrunk
-                        changed = True
+        active_set: Optional[set] = None
+        if active is None and occupancy.keys() <= pressures.keys():
+            # The shape of every sub-step at a dense schedule: every
+            # resident owner is contributing, so there are no dead lines.
+            # Phase 1 would find dead_total == 0.0 and consume nothing,
+            # leaving capacity_active at max(1.0, total_lines - 0.0),
+            # which is max(1.0, total_lines) exactly.
+            changed = False
+            capacity_active = max(1.0, self.total_lines)
+        else:
+            active_set = set(pressures) if active is None else set(active)
+            changed, capacity_active = self._consume_dead_lines(
+                total_insertions, active_set
+            )
 
         # Phase 2: active owners move toward the waterfilled equilibrium
         # of the capacity not pinned down by surviving dead lines.
-        surviving_dead = dead_total - from_dead
-        capacity_active = max(1.0, self.total_lines - surviving_dead)
         equilibrium = waterfill_allocation(
             capacity_active, pressures, footprint_caps
         )
         survive = math.exp(-total_insertions / capacity_active)
-        for owner in sorted(set(equilibrium) | (set(occupancy) & active_set)):
-            current = occupancy.get(owner, 0.0)
-            target = equilibrium.get(owner, 0.0)
+        if active_set is None:
+            # With no dead owners, equilibrium | (occupancy & active) is
+            # a subset of pressures.  An owner it leaves out holds no
+            # lines and has no equilibrium share, so it would grow by
+            # min(0.0, pressure) == 0.0 (pressures are non-negative) and
+            # is never stored: walking all of pressures changes nothing.
+            order = sorted(pressures)
+        else:
+            order = sorted(set(equilibrium) | (set(occupancy) & active_set))
+        occupancy_get = occupancy.get
+        equilibrium_get = equilibrium.get
+        pressures_get = pressures.get
+        for owner in order:
+            current = occupancy_get(owner, 0.0)
+            target = equilibrium_get(owner, 0.0)
             if target >= current:
-                grow = min(target - current, pressures.get(owner, 0.0))
-                updated = current + grow
+                # min(target - current, pressure), spelled out: min()
+                # keeps its first argument unless a later one is strictly
+                # smaller.
+                gap = target - current
+                pressure = pressures_get(owner, 0.0)
+                updated = current + (pressure if pressure < gap else gap)
             else:
                 updated = target + (current - target) * survive
             # Skipping a bitwise-equal store is state-identical: an
@@ -313,12 +329,15 @@ class LlcOccupancyDomain:
 
         # Conservation guard: insertion-bounded growth plus exponential
         # shrink can transiently oversubscribe; squeeze proportionally.
-        used = self._refresh_used()
+        # The map is summed once here; _prune re-sums only if the squeeze
+        # or the prune changed it.
+        used: Optional[float] = sum(occupancy.values())
         if used > self.total_lines:
             scale = self.total_lines / used
             for owner in occupancy:
                 occupancy[owner] *= scale
-        self._prune()
+            used = None
+        self._prune(used=used)
         used = self._used_lines
         if used > self.total_lines * (1.0 + 1e-9):
             # Detail string built only on violation; this contract sits on
@@ -328,6 +347,35 @@ class LlcOccupancyDomain:
                 "occupancy-conservation",
                 f"{used} lines resident in a {self.total_lines}-line LLC",
             )
+
+    def _consume_dead_lines(
+        self, total_insertions: float, active_set: set
+    ) -> Tuple[bool, float]:
+        """Phase 1 of :meth:`relax`: dead lines absorb eviction first.
+
+        Eviction pressure beyond free space consumes inactive owners'
+        (dead) lines, proportionally among them.  Returns whether any
+        occupancy changed and the capacity left to the active owners.
+        """
+        # Two passes over the same filter instead of building a
+        # dead-owner dict: the second pass is usually skipped.
+        occupancy = self._occupancy
+        changed = False
+        overflow = max(0.0, total_insertions - self.free_lines)
+        dead_total = 0.0
+        for owner, occ in occupancy.items():
+            if owner not in active_set and occ > 0.0:
+                dead_total += occ
+        from_dead = min(overflow, dead_total)
+        if from_dead > 0:
+            for owner, occ in occupancy.items():
+                if owner not in active_set and occ > 0.0:
+                    shrunk = occ - from_dead * occ / dead_total
+                    if shrunk != occ:
+                        occupancy[owner] = shrunk
+                        changed = True
+        surviving_dead = dead_total - from_dead
+        return changed, max(1.0, self.total_lines - surviving_dead)
 
 
 def waterfill_allocation(
@@ -344,26 +392,28 @@ def waterfill_allocation(
     """
     if capacity <= 0:
         raise ValueError(f"capacity must be positive, got {capacity}")
+    caps_get = footprint_caps.get
     active = {
         owner: pressure
         for owner, pressure in pressures.items()
-        if pressure > 0 and footprint_caps.get(owner, capacity) > 0
+        if pressure > 0 and caps_get(owner, capacity) > 0
     }
     allocation: Dict[int, float] = {}
     remaining = capacity
     while active and remaining > 0:
         total_pressure = sum(active.values())
-        any_saturated = False
+        # Each share is computed once: when no owner saturates, this
+        # round's shares complete the allocation, in ``active`` order.
+        shares: Dict[int, float] = {}
         for owner, pressure in active.items():
-            if (
-                footprint_caps.get(owner, capacity)
-                <= remaining * pressure / total_pressure
-            ):
-                any_saturated = True
+            share = remaining * pressure / total_pressure
+            if caps_get(owner, capacity) <= share:
                 break
-        if not any_saturated:
-            for owner, pressure in active.items():
-                allocation[owner] = remaining * pressure / total_pressure
+            shares[owner] = share
+        else:
+            if not allocation:
+                return shares
+            allocation.update(shares)
             return allocation
         # A set (not a list) on purpose: ``remaining`` is debited in set
         # iteration order below, and float subtraction order is

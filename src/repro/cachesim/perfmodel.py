@@ -177,8 +177,9 @@ def execute_step(
 
     This function is the *reference semantics* for the step arithmetic.
     The batched tick engine (``repro.hypervisor.batch``) re-implements
-    the same chain over slot locals (``BatchTickEngine._step_floats`` and
-    its numpy kernel) and is pinned bit-identical to it by property
+    the same chain over slot locals (inline in
+    ``BatchTickEngine.execute_tick``, and its numpy kernel) and is
+    pinned bit-identical to it by property
     tests and the experiment goldens; any change to an expression here
     must be mirrored there (and vice versa), keeping the evaluation
     order of every float operation intact.

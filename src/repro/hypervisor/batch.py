@@ -18,6 +18,9 @@ Why it is faster than the scalar loop:
   majority of slot-steps (>93% on the tick-loop benchmarks).  Floats are
   deterministic functions of their inputs, so the step outputs are
   reused without recomputing ``resident ** theta`` and the CPI chain.
+  Under heavy overcommit the occupants keep changing and most slot-steps
+  miss; the miss path runs the step inline, with the behavior-only
+  constants precomputed per sample (:func:`_load_behavior`).
 * **Deferred flushing.**  Truth metrics, workload progress, carry
   state and PMC counts accumulate in slot-local variables and are
   flushed to the vCPU / counter objects only at tick end or before any
@@ -43,8 +46,8 @@ add/sub/mul/div/min/max in numpy are bitwise identical to CPython, but
 ``np.power`` is **not** (SIMD pow differs by 1 ulp on ~4% of inputs), so
 the ``resident ** theta`` term is always computed with per-element
 Python pow.  The kernel only pays off when many slots miss the memo at
-once (cold starts, mass phase changes on wide machines); the pure-python
-engine is the default.
+once (cold starts, mass phase changes on wide machines); the
+pure-python engine is the default.
 """
 
 from __future__ import annotations
@@ -57,10 +60,6 @@ from repro.workloads.base import Workload
 if TYPE_CHECKING:  # pragma: no cover
     from .system import VirtualizedSystem
     from .vcpu import VCpu
-
-#: Minimum number of memo-missing slots in one sub-step before the numpy
-#: kernel beats per-slot Python arithmetic (array setup is ~5 us).
-NUMPY_MIN_BATCH = 12
 
 #: Sentinel for "this slot did not execute the previous sub-step".
 _NEVER = -10
@@ -102,9 +101,10 @@ class _CoreSlot:
         "finite_total", "memory_cycles", "stopped", "executed",
         # pending context-switch penalty mirror
         "pending_cycles", "pending_dirty",
-        # behavior fields of m_behavior (reloaded when the sample changes)
-        "b_wss", "b_lapki", "b_theta", "b_stream", "b_base_cpi", "b_mlp",
-        "b_cap",
+        # behavior fields of m_behavior and the step constants derived from
+        # them (reloaded together by _load_behavior)
+        "b_wss", "b_lapki", "b_theta", "b_base_cpi", "b_mlp", "b_cap",
+        "b_trivial", "b_keep", "b_lapki_k",
         # step memo: inputs (occupant, behavior identity, occupancy at a
         # full budget) -> raw step outputs
         "m_vcpu", "m_behavior", "m_occ", "r_instructions", "r_accesses",
@@ -119,7 +119,7 @@ class _CoreSlot:
         # pending (unflushed) integer PMC deltas
         "p_cycles", "p_instr", "p_miss", "p_ref",
         # relax-elision bookkeeping
-        "last_exec_stamp", "sub_miss", "sub_cap",
+        "last_exec_stamp", "sub_miss",
     )
 
     def __init__(self, core, budget_cycles: int, occ_map, pmcs) -> None:
@@ -143,10 +143,12 @@ class _CoreSlot:
         self.b_wss = 0.0
         self.b_lapki = 0.0
         self.b_theta = 1.0
-        self.b_stream = 0.0
         self.b_base_cpi = 1.0
         self.b_mlp = 1.0
         self.b_cap = 0.0
+        self.b_trivial = True
+        self.b_keep = 1.0
+        self.b_lapki_k = 0.0
         self.m_vcpu = None
         self.m_behavior = None
         self.m_occ = -1.0
@@ -170,7 +172,6 @@ class _CoreSlot:
         self.p_ref = 0
         self.last_exec_stamp = _NEVER
         self.sub_miss = 0.0
-        self.sub_cap = 0.0
 
 
 class BatchTickEngine:
@@ -454,6 +455,8 @@ class BatchTickEngine:
         ver_after = self._ver_after
         fast_domain = self._fast_domain
         use_numpy = self.use_numpy
+        llc_cycles = self._llc_cycles
+        load_behavior = _load_behavior
 
         for _ in range(system.substeps_per_tick):
             self._stamp += 1
@@ -512,12 +515,37 @@ class BatchTickEngine:
                         work_cycles = budget_cycles - penalty
                     else:
                         work_cycles = budget_cycles
+                    if behavior is not slot.m_behavior:
+                        load_behavior(slot, behavior)
                     if defer is not None:
                         defer.append((slot, behavior, occupancy, work_cycles))
                         continue
-                    instructions, accesses, misses = self._step_floats(
-                        slot, behavior, occupancy, work_cycles
+                    # The perf-model step, expression-identical to the
+                    # reference execute_step; the numpy kernel in
+                    # _run_deferred is the engine's only other copy.
+                    # min(1.0, max(0.0, r)) is spelled out: max() keeps its
+                    # first argument unless a later one is strictly larger,
+                    # min() unless strictly smaller.
+                    if slot.b_trivial:
+                        hit = 1.0
+                    else:
+                        resident = occupancy / slot.b_wss
+                        if resident > 0.0:
+                            if not resident < 1.0:
+                                resident = 1.0
+                        else:
+                            resident = 0.0
+                        hit = slot.b_keep * resident ** slot.b_theta
+                    access_cost = (
+                        hit * llc_cycles + (1.0 - hit) * slot.memory_cycles
                     )
+                    instructions = work_cycles / (
+                        slot.b_base_cpi
+                        + slot.b_lapki_k * access_cost / slot.b_mlp
+                    )
+                    # instructions * lapki / 1000.0, in that order.
+                    accesses = instructions * slot.b_lapki / 1000.0
+                    misses = accesses * (1.0 - hit)
                     if work_cycles == budget_cycles:
                         slot.m_behavior = behavior
                         slot.m_occ = occupancy
@@ -574,7 +602,6 @@ class BatchTickEngine:
                 if not slot.executed:
                     slot.executed = True
                 slot.sub_miss = misses
-                slot.sub_cap = slot.b_cap
                 # A recomputed step may contribute a different pressure
                 # than last sub-step, so a miss always dirties its socket.
                 if not memo_hit or slot.last_exec_stamp != prev_stamp:
@@ -604,12 +631,14 @@ class BatchTickEngine:
                     # nothing: relax is a deterministic function, so
                     # this call would be a no-op too.
                     continue
+                # A contributor's b_cap is its cap this sub-step: only the
+                # step it just executed can have reloaded it.
                 pressures: Dict[int, float] = {}
                 caps: Dict[int, float] = {}
                 for slot in socket_slots[socket_id]:
                     if slot.last_exec_stamp == stamp:
                         pressures[slot.gid] = slot.sub_miss
-                        caps[slot.gid] = slot.sub_cap
+                        caps[slot.gid] = slot.b_cap
                 if pressures:
                     if fast_domain[socket_id]:
                         version_before = domain._state_version
@@ -628,49 +657,7 @@ class BatchTickEngine:
 
         self._flush()
 
-    # -- step arithmetic -----------------------------------------------------
-
-    def _step_floats(
-        self,
-        slot: _CoreSlot,
-        behavior,
-        occupancy: float,
-        work_cycles: int,
-    ) -> Tuple[float, float, float]:
-        """The perf-model step, expression-identical to ``execute_step``.
-
-        Reloads the slot's behavior fields when the sample changed (the
-        memo ties ``b_*`` to ``m_behavior``'s identity).
-        """
-        if behavior is not slot.m_behavior:
-            # Invalidate the memo before reloading: the b_* fields must
-            # always describe m_behavior, and a penalty-shortened step
-            # (which never stores a memo) would otherwise leave them
-            # describing a different sample than a surviving memo entry.
-            slot.m_behavior = None
-            slot.b_wss = behavior.wss_lines
-            slot.b_lapki = behavior.lapki
-            slot.b_theta = behavior.locality_theta
-            slot.b_stream = behavior.stream_fraction
-            slot.b_base_cpi = behavior.base_cpi
-            slot.b_mlp = behavior.mlp
-            slot.b_cap = behavior.footprint_cap_lines
-        wss = slot.b_wss
-        lapki = slot.b_lapki
-        if wss <= 0 or lapki == 0:
-            hit = 1.0
-        else:
-            resident = min(1.0, max(0.0, occupancy / wss))
-            reuse_hit = resident ** slot.b_theta
-            hit = (1.0 - slot.b_stream) * reuse_hit
-        access_cost = (
-            hit * self._llc_cycles + (1.0 - hit) * slot.memory_cycles
-        )
-        cpi = slot.b_base_cpi + (lapki / 1000.0) * access_cost / slot.b_mlp
-        instructions = work_cycles / cpi
-        llc_accesses = instructions * lapki / 1000.0
-        llc_misses = llc_accesses * (1.0 - hit)
-        return instructions, llc_accesses, llc_misses
+    # -- step tail ----------------------------------------------------------
 
     def _finish_step(
         self,
@@ -745,7 +732,6 @@ class BatchTickEngine:
         if not slot.executed:
             slot.executed = True
         slot.sub_miss = llc_misses
-        slot.sub_cap = slot.b_cap
         # Conservative: any slow-tail step invalidates relax elision on
         # its socket (its contribution may differ from last sub-step).
         self._dirty[slot.socket_id] = True
@@ -769,49 +755,33 @@ class BatchTickEngine:
     def _run_deferred(
         self, deferred: List[Tuple], now_usec: int, stamp: int
     ) -> None:
-        """Finish memo-missing slots, vectorising when the batch is wide.
+        """Finish memo-missing slots with the vectorised step.
 
         Deferral is order-safe here: no vacate can interleave (checked at
         sub-step start) and the tail effects are per-slot independent, so
-        running the tails after the scan leaves identical state.
+        running the tails after the scan leaves identical state.  Every
+        deferred slot's ``b_*`` fields were loaded during the scan.
         """
-        count = len(deferred)
-        if count < NUMPY_MIN_BATCH:
-            for slot, behavior, occupancy, work_cycles in deferred:
-                instructions, accesses, misses = self._step_floats(
-                    slot, behavior, occupancy, work_cycles
-                )
-                self._store_memo_and_finish(
-                    slot, behavior, occupancy, work_cycles,
-                    instructions, accesses, misses, now_usec, stamp,
-                )
-            return
         np = self._np
+        count = len(deferred)
         wss = np.empty(count)
         lapki = np.empty(count)
+        lapki_k = np.empty(count)
         theta = np.empty(count)
-        stream = np.empty(count)
+        keep = np.empty(count)
         base_cpi = np.empty(count)
         mlp = np.empty(count)
         memory_cycles = np.empty(count)
         occupancy_arr = np.empty(count)
         work = np.empty(count)
-        for index, (slot, behavior, occupancy, work_cycles) in enumerate(
+        for index, (slot, _behavior, occupancy, work_cycles) in enumerate(
             deferred
         ):
-            if behavior is not slot.m_behavior:
-                slot.m_behavior = None  # b_* must describe m_behavior
-                slot.b_wss = behavior.wss_lines
-                slot.b_lapki = behavior.lapki
-                slot.b_theta = behavior.locality_theta
-                slot.b_stream = behavior.stream_fraction
-                slot.b_base_cpi = behavior.base_cpi
-                slot.b_mlp = behavior.mlp
-                slot.b_cap = behavior.footprint_cap_lines
             wss[index] = slot.b_wss
             lapki[index] = slot.b_lapki
+            lapki_k[index] = slot.b_lapki_k
             theta[index] = slot.b_theta
-            stream[index] = slot.b_stream
+            keep[index] = slot.b_keep
             base_cpi[index] = slot.b_base_cpi
             mlp[index] = slot.b_mlp
             memory_cycles[index] = slot.memory_cycles
@@ -828,10 +798,10 @@ class BatchTickEngine:
         reuse_hit = resident.copy()
         for index in np.nonzero(theta != 1.0)[0]:
             reuse_hit[index] = float(resident[index]) ** float(theta[index])
-        hit = (1.0 - stream) * reuse_hit
+        hit = keep * reuse_hit
         hit[trivial] = 1.0
         access_cost = hit * self._llc_cycles + (1.0 - hit) * memory_cycles
-        cpi = base_cpi + (lapki / 1000.0) * access_cost / mlp
+        cpi = base_cpi + lapki_k * access_cost / mlp
         instructions_arr = work / cpi
         accesses_arr = instructions_arr * lapki / 1000.0
         misses_arr = accesses_arr * (1.0 - hit)
@@ -879,3 +849,29 @@ class BatchTickEngine:
             now_usec,
             stamp,
         )
+
+
+def _load_behavior(slot: _CoreSlot, behavior) -> None:
+    """Load ``behavior`` into ``slot``'s ``b_*`` fields.
+
+    Also derives the step constants that depend on the behavior alone
+    (the trivial-hit test, ``1.0 - stream_fraction`` and
+    ``lapki / 1000.0``), so they are computed once per sample change
+    instead of once per step, for both the inline step and the numpy
+    kernel.  Invalidates the memo first: the ``b_*`` fields must always
+    describe ``m_behavior``, and a penalty-shortened step (which never
+    stores a memo) would otherwise leave them describing a different
+    sample than a surviving memo entry.
+    """
+    slot.m_behavior = None
+    wss = behavior.wss_lines
+    lapki = behavior.lapki
+    slot.b_wss = wss
+    slot.b_lapki = lapki
+    slot.b_theta = behavior.locality_theta
+    slot.b_base_cpi = behavior.base_cpi
+    slot.b_mlp = behavior.mlp
+    slot.b_cap = behavior.footprint_cap_lines
+    slot.b_trivial = wss <= 0 or lapki == 0
+    slot.b_keep = 1.0 - behavior.stream_fraction
+    slot.b_lapki_k = lapki / 1000.0

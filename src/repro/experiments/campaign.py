@@ -1,15 +1,20 @@
-"""Parallel campaign runner and JSON artifact aggregation.
+"""Campaign runner and JSON artifact aggregation.
 
 A *campaign* is a batch of experiments run as one unit:
 
-* experiments fan out over ``--jobs N`` worker processes
-  (:mod:`multiprocessing`); every experiment is internally seeded
-  through :mod:`repro.simulation.rng`, so the parallel reports are
-  byte-identical to a serial run and results stream out in request
-  order regardless of completion order,
-* one crashing driver no longer aborts the batch — the failure is
+* points run one of two ways: in-process, one after another, for a
+  serial campaign without a watchdog (``--jobs 1``, no
+  ``--timeout-sec``); otherwise each point runs in its own child of one
+  :class:`repro.herd.pool.SupervisedPool`, up to ``--jobs N`` at a
+  time, under the optional ``--timeout-sec`` watchdog.  Every
+  experiment is internally seeded through :mod:`repro.simulation.rng`,
+  so both paths produce byte-identical reports, and results stream out
+  in request order regardless of completion order,
+* one crashing driver never aborts the batch — the failure is
   captured (message + traceback) in the experiment's artifact, the
-  remaining experiments still run, and the campaign exits nonzero,
+  remaining experiments still run, and the campaign exits nonzero; a
+  supervised child that hangs past its deadline or dies without
+  reporting gets a synthetic ``ok: False`` artifact the same way,
 * ``--json DIR`` writes one ``{name}.json`` artifact per experiment
   (schema ``repro.artifact/1``): the report text, the failure if any,
   wall time, and the full ``repro.telemetry/1`` telemetry document,
@@ -24,14 +29,13 @@ simulated results.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import multiprocessing
 import os
 import sys
 import traceback
-from typing import Any, Dict, IO, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import IO, TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.scenario import ScenarioError
 from repro.telemetry import (
@@ -44,6 +48,9 @@ from repro.telemetry import (
 from repro.util import atomic_write_json, atomic_write_text, elapsed_since, wall_clock
 
 from .registry import REGISTRY, expand_names, is_scenario_token, resolve
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.herd.pool import WorkerOutcome
 
 #: Schema identifier of one per-experiment artifact file.
 ARTIFACT_SCHEMA = "repro.artifact/1"
@@ -86,9 +93,9 @@ def run_one(name: str, stream_dir: Optional[str] = None) -> Dict[str, Any]:
     Never raises for a failing experiment: the exception is captured in
     the artifact so the rest of the batch keeps running.  An unloadable
     or invalid scenario file is surfaced the same way — as an
-    ``ok: False`` artifact named after the token.  This function is the
-    unit of work shipped to ``multiprocessing`` workers, so it must stay
-    picklable (module-level, plain arguments only).
+    ``ok: False`` artifact named after the token.  Supervised children
+    run it through :func:`_run_one_into`, so it must stay picklable
+    (module-level, plain arguments only).
 
     With ``stream_dir`` the experiment's recorder gets a
     :class:`~repro.telemetry.stream.StreamingSink` spooling every series
@@ -189,131 +196,74 @@ def failure_artifact(
     }
 
 
-#: Watchdog work payload: a bare experiment name, or ``(name, stream_dir)``.
-WorkPayload = Union[str, Tuple[str, Optional[str]]]
-
-
 def _run_one_into(
-    payload: WorkPayload, conn: "multiprocessing.connection.Connection"
+    payload: Tuple[str, Optional[str]],
+    conn: "multiprocessing.connection.Connection",
 ) -> None:
-    """Watchdog child entry point: run the experiment, ship the artifact.
+    """Supervised child entry point: run the experiment, ship the artifact.
 
     Module-level so it stays picklable under every start method.  The
-    payload is either a bare name (the historical contract, kept so herd
-    journals replay unchanged) or ``(name, stream_dir)`` when the
-    campaign streams full-resolution telemetry.
+    payload is ``(name, stream_dir)``; the herd orchestrator sends
+    ``(token, None)``.
     """
-    if isinstance(payload, tuple):
-        name, stream_dir = payload
-    else:
-        name, stream_dir = payload, None
+    name, stream_dir = payload
     try:
         conn.send(run_one(name, stream_dir))
     finally:
         conn.close()
 
 
-def run_one_with_timeout(
-    name: str,
-    timeout_sec: float,
-    grace_sec: float = 5.0,
-    stream_dir: Optional[str] = None,
+def _supervised_artifact(
+    name: str, outcome: WorkerOutcome, timeout_sec: Optional[float]
 ) -> Dict[str, Any]:
-    """Run one experiment in a subprocess, killed after ``timeout_sec``.
+    """Artifact for one supervised outcome.
 
-    A hung driver (infinite loop, deadlock) cannot be interrupted
-    in-process, so the watchdog runs it in a child and stops the child
-    on timeout — SIGTERM first, escalating to SIGKILL after
-    ``grace_sec`` (:func:`repro.herd.pool.stop_child`), so a child that
-    ignores SIGTERM cannot hang the campaign.  The timeout — and a
-    child that dies without reporting — is surfaced exactly like a
-    crashing driver: an ``ok: False`` artifact, and the batch continues.
+    A child that reported ships its own artifact; a timed-out or dead
+    child gets a synthetic ``ok: False`` one, so the batch continues
+    exactly as past a crashing driver.
     """
-    if timeout_sec <= 0:
-        raise CampaignError(f"timeout_sec must be positive, got {timeout_sec}")
-    if grace_sec <= 0:
-        raise CampaignError(f"grace_sec must be positive, got {grace_sec}")
-    try:
-        spec = resolve(name)
-    except (KeyError, ScenarioError):
-        # Resolution failures need no watchdog; reuse run_one's artifact.
-        return run_one(name, stream_dir)
-    start = wall_clock()
-    payload: WorkPayload = (
-        (name, stream_dir) if stream_dir is not None else name
-    )
-    receiver, sender = multiprocessing.Pipe(duplex=False)
-    # C002: the worker installs its own ambient telemetry recorder
-    # (recording() rebinds _current per process); nothing flows back except
-    # the pickled artifact, so per-process mutation is the design.
-    child = multiprocessing.Process(  # kyotolint: disable=C002
-        target=_run_one_into, args=(payload, sender)
-    )
-    child.start()
-    sender.close()
-    error: Optional[str] = None
-    try:
-        if receiver.poll(timeout_sec):
-            try:
-                return receiver.recv()
-            except EOFError:
-                error = (
-                    f"ChildCrash: experiment '{name}' worker died without "
-                    "reporting (exit code "
-                    f"{child.exitcode if child.exitcode is not None else '?'})"
-                )
-        else:
-            error = (
-                f"TimeoutError: watchdog killed '{name}' after "
-                f"{timeout_sec:g}s"
-            )
-    finally:
-        # Local import: repro.herd orchestrates *over* the campaign
-        # runner, so campaign -> herd must not bind at import time.
-        from repro.herd.pool import stop_child
-
-        receiver.close()
-        stop_child(child, grace_sec)
-    return failure_artifact(
-        spec.name, spec.description, error or "", elapsed_since(start)
-    )
-
-
-def _watchdog_artifact(
-    name: str, kind: str, result: Optional[Dict[str, Any]],
-    timeout_sec: float, wall_time_sec: float, exitcode: Optional[int],
-) -> Dict[str, Any]:
-    """Artifact for one supervised-pool outcome (see ``_watchdog_stream``)."""
-    if kind == "result" and result is not None:
-        return result
+    if outcome.kind == "result" and outcome.result is not None:
+        return outcome.result
     try:
         spec = resolve(name)
         display, description = spec.name, spec.description
     except (KeyError, ScenarioError):
         display, description = name, f"unresolvable experiment {name!r}"
-    if kind == "timeout":
+    if outcome.kind == "timeout":
         error = (
             f"TimeoutError: watchdog killed '{display}' after "
             f"{timeout_sec:g}s"
         )
     else:
+        exitcode = outcome.exitcode if outcome.exitcode is not None else "?"
         error = (
             f"ChildCrash: experiment '{display}' worker died without "
-            f"reporting (exit code "
-            f"{exitcode if exitcode is not None else '?'})"
+            f"reporting (exit code {exitcode})"
         )
-    return failure_artifact(display, description, error, wall_time_sec)
+    return failure_artifact(display, description, error, outcome.wall_time_sec)
 
 
-def _watchdog_stream(
+def _artifact_stream(
     names: Sequence[str],
     jobs: int,
-    timeout_sec: float,
+    timeout_sec: Optional[float] = None,
     stream_dir: Optional[str] = None,
 ) -> Iterator[Dict[str, Any]]:
-    """Supervised watchdog workers, ``jobs`` at a time, request order out."""
-    # Local import: campaign -> herd must not bind at import time (the
-    # herd orchestrator builds on this module).
+    """Yield artifacts for ``names`` in request order.
+
+    Without a watchdog, a serial campaign (``jobs <= 1`` or a single
+    experiment) runs in-process.  Everything else — ``jobs > 1``, or
+    any ``timeout_sec`` — runs through one
+    :class:`repro.herd.pool.SupervisedPool`: each experiment in its own
+    supervised child, up to ``jobs`` at a time, so a child that hangs or
+    dies is reported instead of stalling the batch.
+    """
+    if timeout_sec is None and (jobs <= 1 or len(names) <= 1):
+        for name in names:
+            yield run_one(name, stream_dir)
+        return
+    # Local import: the herd orchestrator builds on this module, so
+    # campaign -> herd must not bind at import time.
     from repro.herd.pool import SupervisedPool
 
     buffered: Dict[int, Dict[str, Any]] = {}
@@ -324,70 +274,16 @@ def _watchdog_stream(
     ) as pool:
         while next_index < len(names):
             while pool.free_slots > 0 and launched < len(names):
-                payload: WorkPayload = (
-                    (names[launched], stream_dir)
-                    if stream_dir is not None
-                    else names[launched]
-                )
-                pool.launch(str(launched), payload)
+                pool.launch(str(launched), (names[launched], stream_dir))
                 launched += 1
             for outcome in pool.wait(0.25):
                 index = int(outcome.key)
-                buffered[index] = _watchdog_artifact(
-                    names[index],
-                    outcome.kind,
-                    outcome.result,
-                    timeout_sec,
-                    outcome.wall_time_sec,
-                    outcome.exitcode,
+                buffered[index] = _supervised_artifact(
+                    names[index], outcome, timeout_sec
                 )
             while next_index in buffered:
                 yield buffered.pop(next_index)
                 next_index += 1
-
-
-def _artifact_stream(
-    names: Sequence[str],
-    jobs: int,
-    timeout_sec: Optional[float] = None,
-    stream_dir: Optional[str] = None,
-):
-    """Yield artifacts for ``names`` in request order.
-
-    Serial (``jobs <= 1`` or a single experiment) runs in-process;
-    otherwise a worker pool computes out of order while ``imap``
-    delivers in order, so the observable output is identical.  With a
-    ``timeout_sec`` watchdog each experiment gets its own supervised
-    subprocess — up to ``jobs`` of them concurrently
-    (:class:`repro.herd.pool.SupervisedPool`), each owning its full
-    time budget, with results still delivered in request order.
-    """
-    if timeout_sec is not None:
-        if jobs <= 1 or len(names) <= 1:
-            for name in names:
-                yield run_one_with_timeout(
-                    name, timeout_sec, stream_dir=stream_dir
-                )
-        else:
-            for artifact in _watchdog_stream(
-                names, jobs, timeout_sec, stream_dir
-            ):
-                yield artifact
-        return
-    if jobs <= 1 or len(names) <= 1:
-        for name in names:
-            yield run_one(name, stream_dir)
-        return
-    worker = (
-        functools.partial(run_one, stream_dir=stream_dir)
-        if stream_dir is not None
-        else run_one
-    )
-    with multiprocessing.Pool(processes=min(jobs, len(names))) as pool:
-        # C002: run_one reaches recording()'s per-process ambient recorder
-        # rebinding by design; results return only via pickled artifacts.
-        for artifact in pool.imap(worker, list(names)):  # kyotolint: disable=C002
-            yield artifact
 
 
 def artifact_filename(name: str) -> str:
@@ -439,10 +335,18 @@ def run_campaign(
     (use :func:`repro.experiments.registry.expand_names` for user
     input — it also expands sweep files into point tokens).
     Reports stream to ``out`` in the legacy serial format; artifacts go
-    to ``json_dir`` when given.  ``timeout_sec`` arms the per-experiment
-    watchdog (see :func:`run_one_with_timeout`).  ``stream_dir`` spools
-    each experiment's full-resolution telemetry into its own
-    subdirectory (see :func:`experiment_stream_dir`).
+    to ``json_dir`` when given.  ``stream_dir`` spools each
+    experiment's full-resolution telemetry into its own subdirectory
+    (see :func:`experiment_stream_dir`).
+
+    There are two execution paths.  With ``jobs == 1`` (or a single
+    experiment) and no ``timeout_sec``, experiments run in-process, one
+    after another.  Otherwise every experiment runs in its own child of
+    one :class:`repro.herd.pool.SupervisedPool`, up to ``jobs`` at a
+    time; ``timeout_sec`` arms the per-experiment watchdog (SIGTERM,
+    then SIGKILL after a grace period).  A child that times out or dies
+    without reporting becomes an ``ok: False`` artifact and the batch
+    continues.
     """
     if jobs < 1:
         raise CampaignError(f"jobs must be >= 1, got {jobs}")

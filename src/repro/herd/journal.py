@@ -5,11 +5,12 @@ The herd orchestrator records every point's lifecycle in one JSONL file
 is a self-contained JSON record appended with a single ``write`` call
 followed by flush + fsync, so a crash — of the orchestrator or the whole
 host — can only ever leave a *partial last line*.  Recovery therefore
-never needs a repair step: :func:`scan_journal` parses line by line and
-stops at the first undecodable record, and :func:`replay_journal` folds
-the surviving prefix into a consistent queue state (done points stay
-done, an in-flight attempt becomes ``orphaned``, retry-eligible points
-come back as pending).
+never needs a repair step: :func:`scan_journal` reads the longest valid
+prefix with the repo's shared torn-line reader
+(:func:`repro.util.scan_jsonl`, also behind the telemetry stream
+reader), and :func:`replay_journal` folds the surviving prefix into a
+consistent queue state (done points stay done, an in-flight attempt
+becomes ``orphaned``, retry-eligible points come back as pending).
 
 Lifecycle of one point::
 
@@ -25,10 +26,11 @@ makes the journal a replayable trace as well as a recovery log.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.util import jsonl_line, scan_jsonl
 
 #: Schema identifier of one journal record (first field of every line).
 JOURNAL_SCHEMA = "repro.herd/1"
@@ -73,8 +75,7 @@ class JournalWriter:
 
     def append(self, record: Dict[str, Any]) -> None:
         """Append one record durably."""
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        self._handle.write(line + "\n")
+        self._handle.write(jsonl_line(record))
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
@@ -89,7 +90,7 @@ class JournalWriter:
 
 
 def scan_journal(path: str) -> Tuple[List[Dict[str, Any]], bool]:
-    """Parse a journal into ``(records, clean)``.
+    """Parse a journal into ``(records, clean)`` via :func:`scan_jsonl`.
 
     ``clean`` is False when the file ends in a partial/corrupt line (the
     signature of a crash mid-append); scanning stops there, so the
@@ -99,23 +100,7 @@ def scan_journal(path: str) -> Tuple[List[Dict[str, Any]], bool]:
     """
     if not os.path.isfile(path):
         raise JournalError(f"no such journal: {path}")
-    records: List[Dict[str, Any]] = []
-    clean = True
-    with open(path, "r", encoding="utf-8", errors="replace") as handle:
-        for line in handle:
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                record = json.loads(stripped)
-            except json.JSONDecodeError:
-                clean = False
-                break
-            if not isinstance(record, dict) or "event" not in record:
-                clean = False
-                break
-            records.append(record)
-    return records, clean
+    return scan_jsonl(path)
 
 
 @dataclass

@@ -33,7 +33,7 @@ import hashlib
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import IO, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import IO, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.scenario import ScenarioError, dumps_json
 from repro.telemetry import MetricsRecorder, recording
@@ -212,7 +212,7 @@ class _Driver:
         artifact: dict,
         wall_time_sec: float,
     ) -> None:
-        path_suffix = write_artifact(self.json_dir, artifact)
+        write_artifact(self.json_dir, artifact)
         if artifact.get("ok"):
             event = "done"
             point.status = "done"
@@ -245,7 +245,6 @@ class _Driver:
             f"[{label}] {point.name} (attempt {attempt}, "
             f"{wall_time_sec:.1f}s)\n"
         )
-        del path_suffix  # path only matters to the artifact reader
 
     def _conclude_transient(
         self,
@@ -372,7 +371,9 @@ class _Driver:
                     point.status = "running"
                     point.attempts_used = max(point.attempts_used, entry.attempt)
                     self.in_flight[entry.point_id] = entry.attempt
-                    pool.launch(entry.point_id, self.tokens[entry.point_id])
+                    pool.launch(
+                        entry.point_id, (self.tokens[entry.point_id], None)
+                    )
                 if pool.active:
                     for outcome in pool.wait(0.25):
                         self._handle_outcome(outcome)
@@ -422,14 +423,21 @@ def _drive_session(
     config: HerdConfig,
     writer: JournalWriter,
     out: IO[str],
+    before_drive: Optional[Callable[[_Driver], None]] = None,
 ) -> int:
-    """Shared tail of run/resume: drive, merge, report, exit code."""
+    """Shared tail of run/resume: drive, merge, report, exit code.
+
+    ``before_drive`` runs under the session's recorder before any point
+    is enqueued (resume uses it to quarantine budget-spent points).
+    """
     recorder = MetricsRecorder()
     tokens = {
         entry["id"]: entry["token"] for entry in state.header.get("points", [])
     }
     driver = _Driver(state, tokens, json_dir, config, writer, recorder, out)
     with recording(recorder):
+        if before_drive is not None:
+            before_drive(driver)
         for point in enqueue:
             driver.enqueue(point)
         driver.drive()
@@ -508,61 +516,34 @@ def resume_herd(
     """
     state = replay_journal(journal_path(json_dir))
     config = _config_from_header(state.header, jobs)
-    writer = JournalWriter(journal_path(json_dir))
-    recorder_skips = 0
+    skipped = state.counts()["done"]
     enqueue: List[PointRecord] = []
     quarantine_now: List[PointRecord] = []
-    for point in state.points.values():
-        if point.status == "done":
-            recorder_skips += 1
-        elif point.status in ("failed", "quarantined"):
-            continue
-        elif point.attempts_used >= config.max_attempts:
+    for point in state.resumable():
+        if point.attempts_used >= config.max_attempts:
             quarantine_now.append(point)
         else:
             enqueue.append(point)
     out.write(
         f"== herd resume: {len(state.points)} points "
-        f"({recorder_skips} already done, {len(enqueue)} re-enqueued, "
+        f"({skipped} already done, {len(enqueue)} re-enqueued, "
         f"jobs {config.jobs}) ==\n"
     )
-    with writer:
+
+    def quarantine_spent(driver: _Driver) -> None:
+        driver.recorder.inc("herd.resume.skips", skipped)
+        for point in quarantine_now:
+            error = point.last_error or "attempt budget exhausted"
+            driver._quarantine(point, error)
+
+    with JournalWriter(journal_path(json_dir)) as writer:
         writer.append(
-            {
-                "event": "resumed",
-                "jobs": config.jobs,
-                "skipped_done": recorder_skips,
-            }
+            {"event": "resumed", "jobs": config.jobs, "skipped_done": skipped}
         )
         state.resumes += 1
-        recorder = MetricsRecorder()
-        tokens = {
-            entry["id"]: entry["token"]
-            for entry in state.header.get("points", [])
-        }
-        driver = _Driver(
-            state, tokens, json_dir, config, writer, recorder, out
+        return _drive_session(
+            state, enqueue, json_dir, config, writer, out, quarantine_spent
         )
-        recorder.inc("herd.resume.skips", recorder_skips)
-        with recording(recorder):
-            for point in quarantine_now:
-                error = point.last_error or "attempt budget exhausted"
-                driver._quarantine(point, error)
-            for point in enqueue:
-                driver.enqueue(point)
-            driver.drive()
-        summary = merge_state(state, json_dir, recorder.counters)
-        path = write_summary(summary, json_dir)
-        out.write(f"herd summary written to {path}\n")
-        counts = state.counts()
-        out.write(
-            f"herd: {counts['done']} done, {counts['failed']} failed, "
-            f"{counts['quarantined']} quarantined "
-            f"(of {len(state.points)} points)\n"
-        )
-        bad = counts["failed"] + counts["quarantined"]
-        incomplete = len(state.points) - counts["done"] - bad
-        return 1 if bad or incomplete else 0
 
 
 def herd_status(json_dir: str, out: IO[str] = sys.stdout) -> int:

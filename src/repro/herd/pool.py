@@ -1,22 +1,22 @@
-"""Concurrently supervised watchdog workers.
+"""Concurrently supervised workers: the repo's one out-of-process path.
 
-Before the herd, the campaign runner had to choose: parallel (a
-``multiprocessing.Pool``, no watchdog — a hung driver wedges a worker
-slot forever) or supervised (the ``--timeout-sec`` watchdog, strictly
-serial).  :class:`SupervisedPool` gives both at once: up to ``jobs``
-child processes run concurrently, each individually supervised — its
-result pipe, its process sentinel and its deadline are all watched from
-one :func:`multiprocessing.connection.wait` loop — and a child that
-hangs or dies reports as a ``timeout`` / ``crash`` outcome without
-stalling its siblings.
+:class:`SupervisedPool` backs every parallel or watchdog run: ``repro
+run --jobs N`` (N > 1), any ``repro run --timeout-sec S``, and every
+``repro herd`` campaign.  Up to ``jobs`` child processes run
+concurrently, each individually supervised — its result pipe, its
+process sentinel and its optional deadline are all watched from one
+:func:`multiprocessing.connection.wait` loop — and a child that hangs
+or dies reports as a ``timeout`` / ``crash`` outcome without stalling
+its siblings.  A dead child is always noticed through its sentinel, so
+a campaign never waits on work that can no longer arrive.
 
 Termination escalates: ``terminate()`` (SIGTERM), a bounded grace
 period, then ``kill()`` (SIGKILL) — a child that ignores or blocks
 SIGTERM cannot wedge the campaign (see :func:`stop_child`).
 
 The pool is deliberately generic — the child entry point is injected at
-construction — so :mod:`repro.experiments.campaign` can drive it for
-``repro run --jobs N --timeout-sec S`` without an import cycle.
+construction — so :mod:`repro.experiments.campaign` can drive it
+without an import cycle.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ def stop_child(process: multiprocessing.Process, grace_sec: float) -> None:
 
     ``terminate()`` alone is not enough — a child that installed a
     SIGTERM handler (or is stuck in uninterruptible state) never exits,
-    and the old watchdog's unconditional ``join()`` then blocked the
-    whole campaign.  The unbounded ``join()`` here is safe: SIGKILL
-    cannot be caught.
+    and an unconditional ``join()`` would then block the whole
+    campaign.  The unbounded ``join()`` here is safe: SIGKILL cannot be
+    caught.
     """
     if process.is_alive():
         process.terminate()

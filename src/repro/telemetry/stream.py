@@ -22,13 +22,15 @@ On-disk format — herd-journal-style chunked JSONL:
 * :meth:`StreamingSink.close` appends a ``final`` record with the
   recorder's counters and gauges, marking a complete stream.
 
-Durability follows the herd journal's discipline: a chunk is flushed
-and fsynced before the sink rolls to its successor (and again at
-close), so a crash can only ever leave a *partial last line in the last
-chunk*.  Recovery therefore never repairs anything:
-:func:`read_stream` parses line by line and stops at the first torn
-line, returning the longest valid prefix (the property the truncation
-tests pin byte by byte).
+Records are encoded by :func:`repro.util.jsonl_line`, the encoder the
+herd journal uses.  Durability is the sink's own policy: a chunk is
+flushed and fsynced before the sink rolls to its successor (and again
+at close), never per record, so a crash can only ever leave a *partial
+last line in the last chunk*.  Recovery therefore never repairs
+anything: :func:`read_stream` reads each chunk with the shared
+torn-line reader :func:`repro.util.scan_jsonl`, which stops at the
+first torn line, returning the longest valid prefix (the property the
+truncation tests pin byte by byte).
 
 Nothing in here draws randomness or reads the wall clock — a stream is
 a pure function of the points offered to it, so two identical runs
@@ -37,10 +39,11 @@ write byte-identical chunks.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.util import jsonl_line, scan_jsonl
 
 #: Schema identifier carried by every chunk header.
 STREAM_SCHEMA = "repro.telemetry.stream/1"
@@ -232,9 +235,9 @@ class StreamingSink:
     def _write_record(self, record: Dict[str, Any]) -> None:
         handle = self._handle
         assert handle is not None
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        handle.write(line + "\n")
-        self._chunk_bytes += len(line) + 1
+        line = jsonl_line(record)
+        handle.write(line)
+        self._chunk_bytes += len(line)
         if record.get("event") == "points" and (
             self._chunk_bytes >= self.max_chunk_bytes
         ):
@@ -313,7 +316,7 @@ def read_stream(directory: str) -> StreamData:
     )
     expected_index = 0
     for path in chunk_paths:
-        records, torn = _scan_chunk(path)
+        records, clean = scan_jsonl(path)
         if not records:
             data.clean = False
             return data
@@ -329,31 +332,10 @@ def read_stream(directory: str) -> StreamData:
         expected_index += 1
         for record in records[1:]:
             _fold_record(data, record)
-        if torn:
+        if not clean:
             data.clean = False
             return data
     return data
-
-
-def _scan_chunk(path: str) -> Tuple[List[Dict[str, Any]], bool]:
-    """Parse one chunk into ``(records, torn)``; stops at the first tear."""
-    records: List[Dict[str, Any]] = []
-    torn = False
-    with open(path, "r", encoding="utf-8", errors="replace") as handle:
-        for line in handle:
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                record = json.loads(stripped)
-            except json.JSONDecodeError:
-                torn = True
-                break
-            if not isinstance(record, dict) or "event" not in record:
-                torn = True
-                break
-            records.append(record)
-    return records, torn
 
 
 def _fold_record(data: StreamData, record: Dict[str, Any]) -> None:

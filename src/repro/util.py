@@ -14,7 +14,7 @@ import json
 import os
 import tempfile
 import time
-from typing import Any
+from typing import Any, Dict, List, Tuple
 
 
 def wall_clock() -> float:
@@ -63,3 +63,41 @@ def atomic_write_json(path: str, document: Any) -> str:
     return atomic_write_text(
         path, json.dumps(document, indent=2, sort_keys=True) + "\n"
     )
+
+
+def jsonl_line(record: Dict[str, Any]) -> str:
+    """Encode one JSONL record: compact, sorted keys, newline-terminated.
+
+    The one encoder behind every append-only JSONL file in the repo (the
+    herd journal, telemetry stream chunks), so each record is a single
+    ``write`` of a complete line and identical records encode to
+    identical bytes.
+    """
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def scan_jsonl(path: str) -> Tuple[List[Dict[str, Any]], bool]:
+    """Read the longest valid record prefix of a JSONL file.
+
+    Returns ``(records, clean)``.  Blank lines are skipped; scanning
+    stops at the first line that does not decode, is not a JSON object,
+    or lacks an ``"event"`` field, and ``clean`` is then False.  An
+    append-only writer can only leave a torn *last* line when killed
+    mid-write, so the records returned are always a prefix of what was
+    written and recovery never needs a repair step.  Durability (when
+    to fsync) is the writer's policy, not this reader's.
+    """
+    records: List[Dict[str, Any]] = []
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
+        for line in handle:
+            stripped = line.strip()
+            if not stripped:
+                continue
+            try:
+                record = json.loads(stripped)
+            except json.JSONDecodeError:
+                return records, False
+            if not isinstance(record, dict) or "event" not in record:
+                return records, False
+            records.append(record)
+    return records, True

@@ -4,6 +4,10 @@ import io
 import json
 import os
 import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +21,6 @@ from repro.experiments.campaign import (
     load_artifacts,
     run_campaign,
     run_one,
-    run_one_with_timeout,
     scan_artifacts,
     summarize_campaign,
     write_artifact,
@@ -32,6 +35,8 @@ from repro.cli import run_experiments
 
 #: Cheap experiments for runner tests (sub-second each).
 FAST = ["table1", "table2", "fig07"]
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _crash():
@@ -158,27 +163,44 @@ class TestCrashResilience:
             run_campaign(["not-an-experiment"])
 
 
+def _watchdog_artifact(name, tmp_path, timeout_sec, **kwargs):
+    """Run ``name`` alone under the watchdog; return its JSON artifact."""
+    json_dir = tmp_path / "json"
+    run_campaign(
+        [name],
+        jobs=1,
+        json_dir=str(json_dir),
+        out=io.StringIO(),
+        timeout_sec=timeout_sec,
+        **kwargs,
+    )
+    (path,) = json_dir.glob("*.json")
+    return json.loads(path.read_text())
+
+
 class TestWatchdog:
-    def test_hung_driver_killed_and_reported_like_a_crash(self, hangy):
-        artifact = run_one_with_timeout(hangy, timeout_sec=0.5)
+    def test_hung_driver_killed_and_reported_like_a_crash(
+        self, hangy, tmp_path
+    ):
+        artifact = _watchdog_artifact(hangy, tmp_path, timeout_sec=0.5)
         assert artifact["schema"] == ARTIFACT_SCHEMA
         assert artifact["ok"] is False
         assert "TimeoutError" in artifact["error"]
         assert "watchdog killed 'hangy'" in artifact["error"]
         assert artifact["wall_time_sec"] >= 0.5
 
-    def test_fast_experiment_unaffected_by_watchdog(self):
-        artifact = run_one_with_timeout("table1", timeout_sec=30.0)
+    def test_fast_experiment_unaffected_by_watchdog(self, tmp_path):
+        artifact = _watchdog_artifact("table1", tmp_path, timeout_sec=30.0)
         assert artifact["ok"] is True
         assert "8096 MB" in artifact["report"]
 
-    def test_worker_death_reported_not_raised(self, monkeypatch):
+    def test_worker_death_reported_not_raised(self, monkeypatch, tmp_path):
         monkeypatch.setitem(
             REGISTRY,
             "diehard",
             ExperimentSpec("diehard", "kills its worker", _die_hard),
         )
-        artifact = run_one_with_timeout("diehard", timeout_sec=30.0)
+        artifact = _watchdog_artifact("diehard", tmp_path, timeout_sec=30.0)
         assert artifact["ok"] is False
         assert "ChildCrash" in artifact["error"]
 
@@ -208,13 +230,9 @@ class TestWatchdog:
     def test_invalid_timeout_rejected(self):
         with pytest.raises(CampaignError):
             run_campaign(["table1"], timeout_sec=0.0)
-        with pytest.raises(CampaignError):
-            run_one_with_timeout("table1", timeout_sec=-1.0)
-        with pytest.raises(CampaignError):
-            run_one_with_timeout("table1", timeout_sec=1.0, grace_sec=0.0)
 
     def test_sigterm_ignoring_child_is_escalated_to_sigkill(
-        self, monkeypatch
+        self, monkeypatch, tmp_path
     ):
         """terminate() alone used to hang the campaign forever here."""
         monkeypatch.setitem(
@@ -224,9 +242,7 @@ class TestWatchdog:
                 "stubborn", "ignores SIGTERM", _ignore_sigterm_and_hang
             ),
         )
-        artifact = run_one_with_timeout(
-            "stubborn", timeout_sec=0.5, grace_sec=0.4
-        )
+        artifact = _watchdog_artifact("stubborn", tmp_path, timeout_sec=0.5)
         assert artifact["ok"] is False
         assert "TimeoutError" in artifact["error"]
         # The whole escalation (timeout + grace + SIGKILL) stayed
@@ -306,6 +322,49 @@ class TestWatchdog:
         assert "ChildCrash" in text
         assert "watchdog killed 'hangy'" in text
         assert "8096 MB" in text  # table1 still ran
+
+
+#: A campaign whose first driver kills its worker process outright.
+_DIEHARD_CAMPAIGN = textwrap.dedent(
+    """
+    import os
+    import sys
+
+    from repro.experiments.campaign import run_campaign
+    from repro.experiments.registry import REGISTRY, ExperimentSpec
+
+
+    def die_hard():
+        os._exit(3)
+
+
+    REGISTRY["diehard"] = ExperimentSpec("diehard", "kills its worker", die_hard)
+    sys.exit(run_campaign(["diehard", "table1"], jobs=2, json_dir=sys.argv[1]))
+    """
+)
+
+
+class TestParallelWorkerDeath:
+    def test_dead_worker_without_watchdog_does_not_hang(self, tmp_path):
+        """Under ``--jobs N`` and no watchdog, a worker that dies must
+        become a ``ChildCrash`` artifact, not a lost point waited on
+        forever.  Run in a subprocess so a regression fails on the
+        timeout instead of hanging the suite."""
+        json_dir = tmp_path / "json"
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", _DIEHARD_CAMPAIGN, str(json_dir)],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=str(REPO),
+            timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        artifact = json.loads((json_dir / "diehard.json").read_text())
+        assert artifact["ok"] is False
+        assert "ChildCrash" in artifact["error"]
+        assert "8096 MB" in proc.stdout  # table1's report still printed
 
 
 class TestParallelDeterminism:
@@ -498,8 +557,8 @@ class TestStreamingCampaign:
         from repro.telemetry.stream import read_stream
 
         stream_dir = str(tmp_path / "streams")
-        artifact = run_one_with_timeout(
-            chatty, timeout_sec=30.0, stream_dir=stream_dir
+        artifact = _watchdog_artifact(
+            chatty, tmp_path, timeout_sec=30.0, stream_dir=stream_dir
         )
         assert artifact["ok"] is True
         assert artifact["stream"]["points_streamed"] == 40

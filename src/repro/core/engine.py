@@ -159,21 +159,26 @@ class KyotoEngine:
             return
         if (tick_index + 1) % self.monitor_period_ticks != 0:
             return
-        # Resolved once per period: the lookup reads the environment.
+        # Resolved once per period: the contract lookup reads the
+        # environment, and with telemetry off the per-VM counter calls
+        # would all be no-ops.
         checking = contracts_enabled()
+        recorder = self.recorder
+        telemetry = recorder.enabled
         accounts = self.accounts
         cycles_at_last_sample = self._cycles_at_last_sample
-        recorder = self.recorder
         period_ticks = self.monitor_period_ticks
         for vm in self.system.vms:
-            account = accounts.get(vm.vm_id)
+            vm_id = vm.vm_id
+            account = accounts.get(vm_id)
             if account is None:
                 continue
             cycles_run = vm.cycles_run
-            if cycles_run == cycles_at_last_sample.get(vm.vm_id, 0):
-                recorder.inc("kyoto.idle_skips")
+            if cycles_run == cycles_at_last_sample.get(vm_id, 0):
+                if telemetry:
+                    recorder.inc("kyoto.idle_skips")
                 continue
-            cycles_at_last_sample[vm.vm_id] = cycles_run
+            cycles_at_last_sample[vm_id] = cycles_run
             measured = self._sample_or_estimate(vm)
             if checking:
                 self.invariants.require(
@@ -187,10 +192,10 @@ class KyotoEngine:
             # rate equals the booked llc_cap regardless of how often the
             # monitor runs.
             newly_punished = account.debit(measured * period_ticks)
-            recorder.inc("kyoto.samples")
-            if newly_punished:
-                recorder.inc("kyoto.punishments")
-            if recorder.enabled:
+            if telemetry:
+                recorder.inc("kyoto.samples")
+                if newly_punished:
+                    recorder.inc("kyoto.punishments")
                 recorder.record(f"kyoto.quota.{vm.name}", tick_index, account.quota)
 
     def _sample_or_estimate(self, vm: "VirtualMachine") -> float:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Dict, List, Optional, TYPE_CHECKING
 
-from repro.pmc.counters import PmcEvent
+from repro.pmc.counters import EVENT_INDEX, PmcEvent
 from repro.telemetry import current_recorder
 
 from .equation import llc_cap_act
@@ -36,6 +36,12 @@ from .equation import llc_cap_act
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hypervisor.system import VirtualizedSystem
     from repro.hypervisor.vm import VirtualMachine
+
+
+#: Positions in a perfctr ``sample_row`` of the events the monitors read.
+_LLC_MISSES = EVENT_INDEX[PmcEvent.LLC_MISSES]
+_CYCLES = EVENT_INDEX[PmcEvent.UNHALTED_CORE_CYCLES]
+_INSTRUCTIONS = EVENT_INDEX[PmcEvent.INSTRUCTIONS_RETIRED]
 
 
 class MonitorError(Exception):
@@ -88,12 +94,10 @@ class DirectPmcMonitor(PollutionMonitor):
 
     def sample(self, vm: "VirtualMachine") -> float:
         lead = vm.vcpus[0]
-        deltas = self.system.perfctr.sample(lead.gid)
+        row = self.system.perfctr.sample_row(lead.gid)
         self._charge_cost(lead)
         rate = llc_cap_act(
-            deltas[PmcEvent.LLC_MISSES],
-            deltas[PmcEvent.UNHALTED_CORE_CYCLES],
-            self.system.freq_khz_of_vcpu(lead),
+            row[_LLC_MISSES], row[_CYCLES], self.system.freq_khz_of_vcpu(lead)
         )
         return rate * len(vm.vcpus)
 
@@ -274,13 +278,11 @@ class SocketDedicationSampler:
 
     def _contended_sample(self, vm: "VirtualMachine", sample_ticks: int) -> float:
         lead = vm.vcpus[0]
-        self.system.perfctr.sample(lead.gid)  # reset the sample baseline
+        self.system.perfctr.sample_row(lead.gid)  # reset the sample baseline
         self.system.run_ticks(sample_ticks)
-        deltas = self.system.perfctr.sample(lead.gid)
+        row = self.system.perfctr.sample_row(lead.gid)
         rate = llc_cap_act(
-            deltas[PmcEvent.LLC_MISSES],
-            deltas[PmcEvent.UNHALTED_CORE_CYCLES],
-            self.system.freq_khz_of_vcpu(lead),
+            row[_LLC_MISSES], row[_CYCLES], self.system.freq_khz_of_vcpu(lead)
         )
         return rate * len(vm.vcpus)
 
@@ -400,11 +402,11 @@ class McSimReplayMonitor(PollutionMonitor):
         # window: a failing service then leaves the window intact for
         # whatever monitor a failover chain tries next.
         report = self.replay_service.replay_vm(vm)
-        deltas = self.system.perfctr.sample(lead.gid)
-        cycles = deltas[PmcEvent.UNHALTED_CORE_CYCLES]
-        instructions = deltas[PmcEvent.INSTRUCTIONS_RETIRED]
+        row = self.system.perfctr.sample_row(lead.gid)
+        cycles = row[_CYCLES]
+        instructions = row[_INSTRUCTIONS]
         if cycles == 0:
             return 0.0
-        inst_per_ms = instructions / (cycles / self.system.freq_khz)
+        inst_per_ms = instructions / (cycles / self.system.freq_khz_of_vcpu(lead))
         misses_per_ms = inst_per_ms * report.misses_per_kinst / 1000.0
         return misses_per_ms * len(vm.vcpus)

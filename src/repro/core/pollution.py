@@ -91,20 +91,29 @@ class PollutionAccount:
             raise ValueError(
                 f"measured pollution cannot be negative: {measured_llc_cap_act}"
             )
-        was_parked = self.parked
-        self.quota -= measured_llc_cap_act
-        floor = self.quota_min
-        if floor is not None and self.quota < floor:
-            self.quota = floor
-            self.recorder.inc("pollution.floor_clamps")
+        # Locals instead of the parked/quota_min properties: this runs
+        # once per sampled VM per monitoring period.
+        quota = self.quota
+        was_parked = quota < 0
+        quota -= measured_llc_cap_act
+        recorder = self.recorder
+        telemetry = recorder.enabled
+        if self.quota_min_factor is not None:
+            floor = -self.quota_min_factor * self.llc_cap
+            if quota < floor:
+                quota = floor
+                if telemetry:
+                    recorder.inc("pollution.floor_clamps")
+        self.quota = quota
         self.total_debited += measured_llc_cap_act
         self.samples += 1
-        newly_punished = self.parked and not was_parked
+        newly_punished = quota < 0 and not was_parked
         if newly_punished:
             self.punishments += 1
-        self.recorder.inc("pollution.debited_total", measured_llc_cap_act)
-        if newly_punished:
-            self.recorder.inc("pollution.punishments")
+        if telemetry:
+            recorder.inc("pollution.debited_total", measured_llc_cap_act)
+            if newly_punished:
+                recorder.inc("pollution.punishments")
         return newly_punished
 
     @invariant(

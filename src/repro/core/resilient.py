@@ -177,7 +177,9 @@ class ResilientMonitor(PollutionMonitor):
 
     def sample(self, vm: "VirtualMachine") -> float:
         tick = self.system.tick_index
-        ceiling = max_plausible_rate(self.system.freq_khz, len(vm.vcpus))
+        ceiling = max_plausible_rate(
+            self.system.freq_khz_of_vcpu(vm.vcpus[0]), len(vm.vcpus)
+        )
         last_good = self._ewma.get(vm.vm_id)
         for index, (monitor, breaker) in enumerate(zip(self.chain, self.breakers)):
             if not breaker.allow(tick):

@@ -339,7 +339,7 @@ class VirtualizedSystem:
         if outgoing is vcpu:
             return
         if outgoing is not None:
-            self.perfctr.context_switch_out(outgoing.gid)
+            self.perfctr.switch_out_row(outgoing.gid)
             outgoing.current_core = None
             core.running = None
         if vcpu is not None:

@@ -6,8 +6,10 @@ own state that must hold after every mutation — either with the
 :func:`invariant` method decorator or by calling an
 :class:`InvariantChecker` inline at mutation sites.
 
-Checking is deliberately cheap to disable: every entry point consults
-:func:`contracts_enabled` first, which resolves to
+Checking is deliberately cheap to disable.  :class:`InvariantChecker`
+consults :func:`contracts_enabled` before evaluating anything;
+:func:`check` and the :func:`invariant` decorator test their condition
+first and consult it only when the condition fails.  It resolves to
 
 * ``KYOTO_CONTRACTS=1`` / ``KYOTO_CONTRACTS=0`` in the environment when
   set (force on / force off), otherwise
@@ -116,8 +118,11 @@ def invariant(
                 ...
 
     The predicate runs *after* the wrapped method returns (contracts are
-    postconditions on the object's state) and only when contract checking
-    is enabled, so the production-path overhead is one boolean test.
+    postconditions on the object's state).  It runs on every call, also
+    with contracts off; :func:`contracts_enabled` is consulted only when
+    it fails, and decides whether the failure raises.  So the
+    production-path overhead is the predicate itself: it must be pure
+    (no side effects) and cheap.
     """
 
     def decorate(method: Callable) -> Callable:
@@ -126,7 +131,9 @@ def invariant(
         @functools.wraps(method)
         def wrapper(self, *args, **kwargs):
             result = method(self, *args, **kwargs)
-            if contracts_enabled() and not predicate(self):
+            # Predicate first, as in check(): the enabled lookup reads the
+            # environment and only matters once the invariant has failed.
+            if not predicate(self) and contracts_enabled():
                 raise ContractViolation(
                     contract_name, f"state after {method.__name__}()"
                 )

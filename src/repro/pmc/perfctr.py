@@ -15,7 +15,11 @@ Usage from the hypervisor::
 
 ``account(vcpu_id)`` then exposes cumulative per-vCPU counts, and
 ``sample(vcpu_id)`` returns deltas since the previous sample — exactly the
-quantities equation 1 needs.
+quantities equation 1 needs.  ``sample_row`` and ``switch_out_row`` are
+the same primitives returning int lists in
+:data:`~repro.pmc.counters.EVENTS` order; the event-keyed dicts are
+views over them, and the hot paths (the monitors, the hypervisor's
+context switch) index the rows directly.
 """
 
 from __future__ import annotations
@@ -94,14 +98,17 @@ class PerfctrVirtualizer:
 
     def context_switch_out(self, vcpu_id: int) -> Dict[PmcEvent, int]:
         """Bank counter deltas when ``vcpu_id`` leaves its core."""
+        return dict(zip(EVENTS, self.switch_out_row(vcpu_id)))
+
+    def switch_out_row(self, vcpu_id: int) -> List[int]:
+        """:meth:`context_switch_out`, returning the deltas as an EVENTS row."""
         try:
             counters, baselines = self._active.pop(vcpu_id)
         except KeyError:
             raise PerfctrError(
                 f"vCPU {vcpu_id} switched out but was never switched in"
             ) from None
-        totals = self.account(vcpu_id).totals
-        return dict(zip(EVENTS, self._bank(totals, counters, baselines)))
+        return self._bank(self.account(vcpu_id).totals, counters, baselines)
 
     @staticmethod
     def _bank(
@@ -144,11 +151,19 @@ class PerfctrVirtualizer:
         monitoring period and feeds ``LLC_MISSES`` and
         ``UNHALTED_CORE_CYCLES`` into equation 1.
         """
-        self.flush_running(vcpu_id)
+        return dict(zip(EVENTS, self.sample_row(vcpu_id)))
+
+    def sample_row(self, vcpu_id: int) -> List[int]:
+        """:meth:`sample`, returning the deltas as an EVENTS row.
+
+        A running vCPU is banked in place first (as :meth:`flush_running`
+        does), so the row covers every event counted up to now.
+        """
         account = self.account(vcpu_id)
         totals = account.totals
-        deltas = dict(
-            zip(EVENTS, [now - then for now, then in zip(totals, account.last_sample)])
-        )
+        active = self._active.get(vcpu_id)
+        if active is not None:
+            self._bank(totals, *active)
+        deltas = [now - then for now, then in zip(totals, account.last_sample)]
         account.last_sample = totals.copy()
         return deltas

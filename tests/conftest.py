@@ -4,7 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.hardware.specs import numa_machine, paper_machine
+from repro.hardware.latency import PAPER_LATENCIES
+from repro.hardware.specs import (
+    KIB,
+    MIB,
+    CacheSpec,
+    MachineSpec,
+    SocketSpec,
+    numa_machine,
+    paper_machine,
+)
 from repro.hypervisor.system import VirtualizedSystem
 from repro.hypervisor.vm import VmConfig
 from repro.schedulers.credit import CreditScheduler
@@ -38,4 +47,26 @@ def make_vm(system, name="vm", app="gcc", core=0, **kwargs):
             pinned_cores=[core],
             **kwargs,
         )
+    )
+
+
+def socket_spec(freq_khz: int, cores: int = 4) -> SocketSpec:
+    """A 4-core socket with a 10 MiB shared LLC at ``freq_khz``."""
+    return SocketSpec(
+        cores=cores,
+        freq_khz=freq_khz,
+        l1d=CacheSpec("L1D", 32 * KIB, 8),
+        l1i=CacheSpec("L1I", 32 * KIB, 8),
+        l2=CacheSpec("L2", 256 * KIB, 8),
+        llc=CacheSpec("LLC", 10 * MIB, 20, shared=True),
+    )
+
+
+def hetero_machine() -> MachineSpec:
+    """Two sockets at different frequencies (socket 1 at half speed)."""
+    return MachineSpec(
+        name="hetero-2s",
+        sockets=(socket_spec(2_800_000), socket_spec(1_400_000)),
+        memory_bytes=2 * 8_096 * MIB,
+        latency=PAPER_LATENCIES,
     )

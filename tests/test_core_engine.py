@@ -133,3 +133,51 @@ class TestAccounting:
         assert account.samples == 5
         assert account.mean_measured == pytest.approx(100.0)
         assert recorder.counters["kyoto.idle_skips"] == 5.0
+
+
+class TestPeriodConservation:
+    """The once-per-period telemetry guard is observer-only: a recorder
+    sees every sampled and skipped VM, and results do not depend on it."""
+
+    TICKS = 45
+
+    @staticmethod
+    def _fleet(recorder):
+        from repro.core.ks4xen import KS4Xen
+        from repro.hardware.specs import paper_machine
+
+        system = VirtualizedSystem(KS4Xen(), paper_machine(), recorder=recorder)
+        # vdis and vmcf share core 1, so each sits out some periods.
+        for name, app, core in (("vsen", "gcc", 0), ("vdis", "lbm", 1), ("vmcf", "mcf", 1)):
+            make_vm(system, name, app=app, core=core, llc_cap=150_000)
+        make_vm(system, "free", app="povray", core=2)  # unmanaged
+        system.run_ticks(TestPeriodConservation.TICKS)
+        return system.scheduler.kyoto
+
+    def test_counters_conserve_periods_and_match_accounts(self):
+        from repro.telemetry import MetricsRecorder
+
+        recorder = MetricsRecorder()
+        kyoto = self._fleet(recorder)
+        counters = recorder.counters
+        accounts = list(kyoto.accounts.values())
+        assert len(accounts) == 3
+        periods = self.TICKS // kyoto.monitor_period_ticks
+        assert counters["kyoto.idle_skips"] > 0
+        assert counters["kyoto.idle_skips"] + counters["kyoto.samples"] == (
+            periods * len(accounts)
+        )
+        assert counters["kyoto.samples"] == sum(a.samples for a in accounts)
+        assert counters["kyoto.punishments"] > 0
+        assert counters["kyoto.punishments"] == sum(a.punishments for a in accounts)
+
+    def test_null_recorder_leaves_accounts_bit_identical(self):
+        from repro.telemetry import NULL_RECORDER, MetricsRecorder
+
+        def state(kyoto):
+            return [
+                (vm_id, a.quota, a.punishments, a.samples, a.total_debited)
+                for vm_id, a in kyoto.accounts.items()
+            ]
+
+        assert state(self._fleet(MetricsRecorder())) == state(self._fleet(NULL_RECORDER))

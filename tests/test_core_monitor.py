@@ -10,11 +10,13 @@ from repro.core.monitor import (
 )
 from repro.hardware.specs import numa_machine, paper_machine
 from repro.hypervisor.system import VirtualizedSystem
+from repro.mcsim.replay import ReplayReport
 from repro.mcsim.service import ReplayService
+from repro.pmc.counters import PmcEvent
 from repro.schedulers.credit import CreditScheduler
 from repro.workloads.profiles import application_behavior
 
-from conftest import make_vm
+from conftest import hetero_machine, make_vm
 
 
 def system_on(machine=None):
@@ -219,3 +221,34 @@ class TestMcSimReplayMonitor:
             return vm.instructions_retired
 
         assert run(True) == pytest.approx(run(False), rel=1e-6)
+
+    def test_rate_uses_own_socket_frequency(self):
+        """Regression: cycles were converted to milliseconds with socket
+        0's frequency wherever the VM ran."""
+
+        class StubReplayService:
+            def replay_vm(self, vm):
+                # 7 misses per kilo-instruction.
+                return ReplayReport(
+                    instructions=1000, cycles=2000.0, llc_accesses=50, llc_misses=7
+                )
+
+        system = system_on(hetero_machine())
+        slow_core = system.machine.spec.cores_of_socket(1)[0]
+        vm = make_vm(system, app="lbm", core=slow_core, memory_node=1)
+        monitor = McSimReplayMonitor(system, StubReplayService())
+        system.run_ticks(10)
+        gid = vm.vcpus[0].gid
+        system.perfctr.flush_running(gid)
+        account = system.perfctr.account(gid)
+        instructions = account.read(PmcEvent.INSTRUCTIONS_RETIRED)
+        cycles = account.read(PmcEvent.UNHALTED_CORE_CYCLES)
+        assert cycles > 0
+
+        def rate_at(freq_khz):
+            return instructions / (cycles / freq_khz) * 7.0 / 1000.0
+
+        slow_khz = system.machine.sockets[1].spec.freq_khz
+        measured = monitor.sample(vm)
+        assert measured == rate_at(slow_khz)
+        assert measured != rate_at(system.freq_khz)

@@ -19,7 +19,7 @@ from repro.hypervisor.system import HypervisorError, VirtualizedSystem
 from repro.schedulers.credit import CreditScheduler
 from repro.telemetry import MetricsRecorder
 
-from conftest import make_vm
+from conftest import hetero_machine, make_vm
 
 
 def plain_system(**kwargs):
@@ -162,6 +162,23 @@ class TestResilientMonitor:
         honest = ScriptedMonitor(system, [50.0])
         monitor = ResilientMonitor(system, chain=[liar, honest])
         assert monitor.sample(vm) == 50.0
+        assert monitor.rejected_samples == 1
+
+    def test_ceiling_uses_own_socket_frequency(self):
+        """Regression: the plausibility ceiling used socket 0's frequency,
+        so a VM on a slower socket could report up to twice its physical
+        maximum."""
+        system = plain_system(machine_spec=hetero_machine())
+        slow_core = system.machine.spec.cores_of_socket(1)[0]
+        vm = make_vm(system, core=slow_core, memory_node=1)
+        slow_ceiling = max_plausible_rate(system.machine.sockets[1].spec.freq_khz)
+        fast_ceiling = max_plausible_rate(system.freq_khz)
+        between = (slow_ceiling + fast_ceiling) / 2
+        assert slow_ceiling < between < fast_ceiling
+        liar = ScriptedMonitor(system, [between])
+        backup = ScriptedMonitor(system, [80.0])
+        monitor = ResilientMonitor(system, chain=[liar, backup])
+        assert monitor.sample(vm) == 80.0
         assert monitor.rejected_samples == 1
 
     def test_spike_rejected_after_history_established(self):

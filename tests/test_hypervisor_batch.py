@@ -23,7 +23,7 @@ from repro.cachesim.perfmodel import CacheBehavior
 from repro.core.ks4xen import KS4Xen
 from repro.core.monitor import DirectPmcMonitor
 from repro.hardware.latency import PAPER_LATENCIES
-from repro.hardware.specs import CacheSpec, KIB, MIB, MachineSpec, SocketSpec
+from repro.hardware.specs import MIB, MachineSpec
 from repro.hypervisor.system import VirtualizedSystem
 from repro.hypervisor.vm import VmConfig
 from repro.partitioning.static import apply_page_coloring
@@ -34,7 +34,7 @@ from repro.workloads.interactive import InteractiveWorkload
 from repro.workloads.phased import Phase, PhasedWorkload
 from repro.workloads.profiles import application_behavior, application_workload
 
-from conftest import make_vm
+from conftest import hetero_machine, make_vm, socket_spec
 
 try:
     import numpy  # noqa: F401
@@ -46,29 +46,8 @@ except ImportError:  # pragma: no cover
 ENGINES = ["scalar", "batch"] + (["batch-numpy"] if HAVE_NUMPY else [])
 
 
-def _socket(freq_khz: int, cores: int = 4) -> SocketSpec:
-    return SocketSpec(
-        cores=cores,
-        freq_khz=freq_khz,
-        l1d=CacheSpec("L1D", 32 * KIB, 8),
-        l1i=CacheSpec("L1I", 32 * KIB, 8),
-        l2=CacheSpec("L2", 256 * KIB, 8),
-        llc=CacheSpec("LLC", 10 * MIB, 20, shared=True),
-    )
-
-
-def hetero_machine() -> MachineSpec:
-    """Two sockets at different frequencies (socket 1 at half speed)."""
-    return MachineSpec(
-        name="hetero-2s",
-        sockets=(_socket(2_800_000), _socket(1_400_000)),
-        memory_bytes=2 * 8_096 * MIB,
-        latency=PAPER_LATENCIES,
-    )
-
-
 def two_socket_machine() -> MachineSpec:
-    socket = _socket(2_800_000)
+    socket = socket_spec(2_800_000)
     return MachineSpec(
         name="homog-2s",
         sockets=(socket, socket),

@@ -15,6 +15,7 @@ from repro.core.pollution import PollutionAccount
 from repro.hardware.specs import paper_machine
 from repro.hypervisor.system import VirtualizedSystem
 from repro.hypervisor.vm import VmConfig
+from repro.lint import contracts
 from repro.lint.contracts import (
     ContractViolation,
     InvariantChecker,
@@ -101,6 +102,64 @@ def test_invariant_decorator_disabled_is_free():
     tank = Tank()
     tank.fill(50)  # no raise when contracts are off
     assert tank.level == 50
+
+
+def _count_toggle_lookups(monkeypatch):
+    """Route the module's ``contracts_enabled`` through a call counter."""
+    calls = []
+    real = contracts.contracts_enabled
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(contracts, "contracts_enabled", counting)
+    return calls
+
+
+def test_invariant_decorator_holding_predicate_skips_toggle(monkeypatch):
+    calls = _count_toggle_lookups(monkeypatch)
+
+    class Tank:
+        def __init__(self):
+            self.level = 0
+
+        @invariant(lambda self: self.level <= 10, name="level-cap")
+        def fill(self, amount):
+            self.level += amount
+
+    tank = Tank()
+    for _ in range(5):
+        tank.fill(1)
+    account = PollutionAccount(llc_cap=1000.0)
+    account.debit(5000.0)
+    account.refill(ticks=3)
+    assert calls == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_invariant_decorator_failing_predicate_raises_only_when_enabled(
+    monkeypatch, enabled
+):
+    calls = _count_toggle_lookups(monkeypatch)
+    set_contracts_enabled(enabled)
+
+    class Tank:
+        def __init__(self):
+            self.level = 0
+
+        @invariant(lambda self: self.level <= 10, name="level-cap")
+        def fill(self, amount):
+            self.level += amount
+
+    tank = Tank()
+    if enabled:
+        with pytest.raises(ContractViolation, match="level-cap"):
+            tank.fill(50)
+    else:
+        tank.fill(50)
+    assert tank.level == 50  # the method ran before the check either way
+    assert len(calls) == 1  # the toggle is read once, on the violation
 
 
 # -- wired-in invariants ------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.pmc.counters import (
     COUNTER_MASK,
+    EVENTS,
     CoreCounters,
     HardwareCounter,
     PmcEvent,
@@ -206,6 +207,11 @@ class _DictPerfctrModel:
         self.last[vcpu] = dict(totals)
         return deltas
 
+    # The row primitives' results are compared as event-keyed dicts
+    # (see _apply), so the model states them as the dict operations.
+    switch_out_row = context_switch_out
+    sample_row = sample
+
     def retire_account(self, vcpu):
         if vcpu in self.active:
             raise PerfctrError("retire while switched in")
@@ -229,6 +235,8 @@ _OPS = st.lists(
         st.tuples(st.just("context_switch_out"), _VCPUS),
         st.tuples(st.just("flush_running"), _VCPUS),
         st.tuples(st.just("sample"), _VCPUS),
+        st.tuples(st.just("switch_out_row"), _VCPUS),
+        st.tuples(st.just("sample_row"), _VCPUS),
         st.tuples(st.just("retire_account"), _VCPUS),
         st.tuples(st.just("add"), _CORES, st.sampled_from(list(PmcEvent)), _AMOUNTS),
     ),
@@ -237,13 +245,22 @@ _OPS = st.lists(
 )
 
 
+_ROW_OPS = ("switch_out_row", "sample_row")
+
+
 def _apply(virtualiser, add, op):
-    """Run one op; return its result, or ``PerfctrError`` if it raised."""
+    """Run one op; return its result, or ``PerfctrError`` if it raised.
+
+    An EVENTS-ordered row comes back as its event-keyed dict view.
+    """
     kind, *args = op
     try:
-        return add(*args) if kind == "add" else getattr(virtualiser, kind)(*args)
+        result = add(*args) if kind == "add" else getattr(virtualiser, kind)(*args)
     except PerfctrError:
         return PerfctrError
+    if kind in _ROW_OPS and isinstance(result, list):
+        return dict(zip(EVENTS, result))
+    return result
 
 
 class TestPerfctrMatchesDictModel:

@@ -33,6 +33,15 @@ Why it is faster than the scalar loop:
   that sub-step's relaxation provably left the occupancy state
   untouched, this sub-step's relaxation is skipped outright — same
   deterministic inputs, same no-op result.
+* **Steady-state fast-forward.**  Once a whole sub-step was steady —
+  every occupied slot memo-hit with a static behavior right after
+  executing the previous sub-step, nothing was vacated, finished or
+  blocked, and every socket's relax was elided or a proven no-op — the
+  machine is at a fixed point until a finite workload clips or finishes.
+  :meth:`BatchTickEngine._fast_forward` replays the rest of the tick up
+  to that step in slot locals, with each accumulator's float additions
+  in the scalar order.  The window never crosses a tick boundary, so the
+  scheduler and Kyoto observe nothing new.
 
 The flush discipline ("flush before escape") is the one invariant to
 keep in mind when extending the engine: any call that can read vCPU
@@ -213,6 +222,9 @@ class BatchTickEngine:
         # working across tick boundaries at a steady schedule.
         self._stamp = 0
         self._stopped_count = 0
+        #: Sub-steps replayed by :meth:`_fast_forward` instead of the
+        #: sub-step loop (a test oracle; not telemetry).
+        self.fast_forwarded_substeps = 0
         # Per-socket relax-elision state: was the previous relaxation a
         # provable no-op, and at which occupancy-state version.
         self._prev_nop: List[bool] = [False] * num_sockets
@@ -457,8 +469,15 @@ class BatchTickEngine:
         use_numpy = self.use_numpy
         llc_cycles = self._llc_cycles
         load_behavior = _load_behavior
+        substeps = system.substeps_per_tick
+        # A fixed point is provable only without jitter (every step would
+        # take _finish_step) and on native domains (a duck-typed relax
+        # carries no version counter).
+        may_fast_forward = jitter_stream is None and all(fast_domain)
 
-        for _ in range(system.substeps_per_tick):
+        step = 0
+        while step < substeps:
+            step += 1
             self._stamp += 1
             stamp = self._stamp
             prev_stamp = stamp - 1
@@ -616,6 +635,17 @@ class BatchTickEngine:
             if defer:
                 self._run_deferred(defer, now_usec, stamp)
 
+            # Steady: no socket was dirtied this sub-step, so every
+            # occupied slot took the memo-hit unclipped tail right after
+            # executing the previous sub-step, no vacate ran, and nothing
+            # finished or blocked.  The relax pass below must leave every
+            # occupancy untouched too.
+            steady = (
+                may_fast_forward
+                and self._stopped_count == 0
+                and True not in dirty
+            )
+
             # Relaxation pass, one socket at a time, contributors in
             # core order (the scalar path builds its pressure dicts in
             # exactly this order; float summation order is pinned).
@@ -644,8 +674,11 @@ class BatchTickEngine:
                         version_before = domain._state_version
                         domain.relax(pressures, caps)
                         version_now = domain._state_version
-                        prev_nop[socket_id] = version_now == version_before
+                        nop = version_now == version_before
+                        prev_nop[socket_id] = nop
                         ver_after[socket_id] = version_now
+                        if not nop:
+                            steady = False
                     else:
                         # Duck-typed domain: no version counter, so a
                         # no-op relaxation can never be proven.
@@ -655,7 +688,106 @@ class BatchTickEngine:
                     prev_nop[socket_id] = False
                 dirty[socket_id] = False
 
+            if steady and step < substeps:
+                step += self._fast_forward(substeps - step)
+
         self._flush()
+
+    # -- steady-state fast-forward ------------------------------------------
+
+    def _fast_forward(self, remaining: int) -> int:
+        """Replay up to ``remaining`` sub-steps of a machine at a fixed point.
+
+        Called after a steady sub-step: every occupied slot memo-hit with
+        a static behavior and every socket's relax was elided or a proven
+        no-op, so each following sub-step repeats the same step outputs
+        against the same occupancy, and its relax pass is elided.  Only
+        the accumulators move.  The window is the largest ``k`` for which
+        no finite slot clips or finishes, evaluated with the sub-step
+        loop's own expressions; that step runs on the normal path.  Each
+        float accumulator is advanced slot by slot with the same
+        additions in the same order as ``k`` inline tails; integer cycles
+        advance as ``budget * k``, which is exact.  Returns ``k``.
+        """
+        occupied: List[_CoreSlot] = []
+        k = remaining
+        for slot in self.slots:
+            if slot.vcpu is None:
+                continue
+            if slot.static_behavior is None:
+                # A phase may change the behavior sample inside the window.
+                return 0
+            finite_total = slot.finite_total
+            if finite_total is not None:
+                instructions = slot.r_instructions
+                done = slot.done_instructions
+                safe = 0
+                while safe < k and instructions < max(
+                    0.0, finite_total - done
+                ):
+                    done += instructions
+                    if done >= finite_total:
+                        break
+                    safe += 1
+                if safe == 0:
+                    return 0
+                k = safe
+            occupied.append(slot)
+        for slot in occupied:
+            instructions = slot.r_instructions
+            accesses = slot.r_accesses
+            misses = slot.r_misses
+            t_instructions = slot.t_instructions
+            t_accesses = slot.t_accesses
+            t_misses = slot.t_misses
+            done = slot.done_instructions
+            lt_instructions = slot.lt_instructions
+            lt_misses = slot.lt_misses
+            c_instr = slot.c_instr
+            c_miss = slot.c_miss
+            c_access = slot.c_access
+            p_instr = slot.p_instr
+            p_miss = slot.p_miss
+            p_ref = slot.p_ref
+            for _ in range(k):
+                t_instructions += instructions
+                t_accesses += accesses
+                t_misses += misses
+                done += instructions
+                lt_instructions += instructions
+                lt_misses += misses
+                carry = c_instr + instructions
+                whole = int(carry)
+                c_instr = carry - whole
+                p_instr += whole
+                carry = c_miss + misses
+                whole = int(carry)
+                c_miss = carry - whole
+                p_miss += whole
+                carry = c_access + accesses
+                whole = int(carry)
+                c_access = carry - whole
+                p_ref += whole
+            slot.t_instructions = t_instructions
+            slot.t_accesses = t_accesses
+            slot.t_misses = t_misses
+            slot.done_instructions = done
+            slot.lt_instructions = lt_instructions
+            slot.lt_misses = lt_misses
+            slot.c_instr = c_instr
+            slot.c_miss = c_miss
+            slot.c_access = c_access
+            slot.p_instr = p_instr
+            slot.p_miss = p_miss
+            slot.p_ref = p_ref
+            cycles = slot.budget_cycles * k
+            slot.t_cycles += cycles
+            slot.lt_cycles += cycles
+            slot.p_cycles += cycles
+            slot.last_exec_stamp += k
+        self._stamp += k
+        self.fast_forwarded_substeps += k
+        return k
 
     # -- step tail ----------------------------------------------------------
 

@@ -194,31 +194,34 @@ class CreditScheduler(Scheduler):
         machine = self.system.machine
         my_socket = machine.core(core_id).socket_id
         accounts = self.accounts
-
-        def steal_from(other_core_id: int) -> Optional["VCpu"]:
-            for vcpu in self._candidates(other_core_id):
-                if (
-                    vcpu.pinned_core is None
-                    and not vcpu.is_running
-                    and accounts[vcpu.gid].credits > 0  # UNDER
-                ):
-                    self.reassign_vcpu(vcpu, core_id)
-                    self.system.recorder.inc("credit.steals")
-                    return vcpu
-            return None
-
+        by_gid = self._vcpu_by_gid
+        rr_order = self._rr_order
+        is_parked = self.is_parked
         # Same-socket cores first, remote sockets only as a fallback;
         # within a pass, cores are scanned in machine order and the first
-        # stealable vCPU wins (matching Xen's runqueue walk).
+        # stealable vCPU wins (matching Xen's runqueue walk).  The
+        # predicates are pure, so testing them cheapest first picks the
+        # vCPU a runnable/not-parked candidate filter would; every queued
+        # gid has an account, so the credit lookup cannot raise early.
         for want_same_socket in (True, False):
             for other in machine.cores:
-                if other.core_id == core_id:
+                other_id = other.core_id
+                if other_id == core_id:
                     continue
                 if (other.socket_id == my_socket) is not want_same_socket:
                     continue
-                vcpu = steal_from(other.core_id)
-                if vcpu is not None:
-                    return vcpu
+                for gid in rr_order.get(other_id, ()):
+                    vcpu = by_gid[gid]
+                    if (
+                        vcpu.current_core is None  # not running
+                        and vcpu.pinned_core is None
+                        and accounts[gid].credits > 0  # UNDER
+                        and vcpu.runnable
+                        and not is_parked(vcpu)
+                    ):
+                        self.reassign_vcpu(vcpu, core_id)
+                        self.system.recorder.inc("credit.steals")
+                        return vcpu
         return None
 
     def on_tick_start(self, tick_index: int) -> None:

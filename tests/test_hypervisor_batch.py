@@ -24,6 +24,7 @@ from repro.core.ks4xen import KS4Xen
 from repro.core.monitor import DirectPmcMonitor
 from repro.hardware.latency import PAPER_LATENCIES
 from repro.hardware.specs import MIB, MachineSpec
+from repro.hypervisor.batch import BatchTickEngine
 from repro.hypervisor.system import VirtualizedSystem
 from repro.hypervisor.vm import VmConfig
 from repro.partitioning.static import apply_page_coloring
@@ -81,28 +82,55 @@ vm_specs = st.lists(
 )
 
 
-def _workload(kind: str, index: int, behavior, behavior2) -> Workload:
+def _workload(
+    kind: str,
+    index: int,
+    behavior,
+    behavior2,
+    finite_total: float = 3e7,
+    phase_instructions: float = 5e6,
+    think_usec: int = 5_000,
+) -> Workload:
     if kind == "finite":
         return Workload(
-            name=f"w{index}", behavior=behavior, total_instructions=3e7
+            name=f"w{index}", behavior=behavior, total_instructions=finite_total
         )
     if kind == "phased":
         return PhasedWorkload(
             f"w{index}",
-            [Phase(behavior, 5e6), Phase(behavior2, 5e6)],
+            [
+                Phase(behavior, phase_instructions),
+                Phase(behavior2, phase_instructions),
+            ],
         )
     if kind == "interactive":
         return InteractiveWorkload(
             f"w{index}",
             behavior,
             burst_instructions=4e6,
-            think_usec=5_000,
+            think_usec=think_usec,
         )
     return Workload(name=f"w{index}", behavior=behavior)
 
 
-def _fingerprint(engine, specs, substeps, jitter, seed, ticks, color=False):
-    """Run a fleet on ``engine`` and capture every observable, exactly."""
+def _fingerprint(
+    engine,
+    specs,
+    substeps,
+    jitter,
+    seed,
+    ticks,
+    color=False,
+    cores=None,
+    systems=None,
+    **workload_options,
+):
+    """Run a fleet on ``engine`` and capture every observable, exactly.
+
+    A pinned spec runs on ``cores[index]`` when ``cores`` is given, else
+    on core ``index`` modulo the core count.  ``workload_options`` go to
+    :func:`_workload`; the system is appended to ``systems`` if given.
+    """
     system = VirtualizedSystem(
         CreditScheduler(),
         two_socket_machine(),
@@ -114,16 +142,21 @@ def _fingerprint(engine, specs, substeps, jitter, seed, ticks, color=False):
     vms = []
     total_cores = system.machine.spec.total_cores
     for index, (behavior, behavior2, kind, node, pinned) in enumerate(specs):
+        core = index % total_cores if cores is None else cores[index]
         vms.append(
             system.create_vm(
                 VmConfig(
                     name=f"vm{index}",
-                    workload=_workload(kind, index, behavior, behavior2),
-                    pinned_cores=[index % total_cores] if pinned else None,
+                    workload=_workload(
+                        kind, index, behavior, behavior2, **workload_options
+                    ),
+                    pinned_cores=[core] if pinned else None,
                     memory_node=node,
                 )
             )
         )
+    if systems is not None:
+        systems.append(system)
     if color:
         apply_page_coloring(
             system, {vms[0]: 20_000.0, vms[1]: 30_000.0}
@@ -221,6 +254,94 @@ class TestEngineEquivalence:
                 _fingerprint(engine, specs, 10, 0.0, 3, 50, color=True)
                 == reference
             )
+
+    # -- steady-state fast-forward pins ---------------------------------
+    #
+    # Streaming behaviors keep enough miss pressure for the relaxation to
+    # land exactly on its fixed point, so the machine turns steady within
+    # a few ticks and the batched engines start fast-forwarding.
+
+    STEADY_A = CacheBehavior(
+        wss_lines=60_000.0, lapki=20.0, stream_fraction=0.3
+    )
+    STEADY_B = CacheBehavior(
+        wss_lines=30_000.0, lapki=5.0, stream_fraction=0.2
+    )
+    STEADY_C = CacheBehavior(
+        wss_lines=50_000.0, lapki=35.0, stream_fraction=0.1
+    )
+
+    @staticmethod
+    def _assert_fast_forwarded_equivalence(specs, cores, **options):
+        reference = _fingerprint(
+            "scalar", specs, 10, 0.0, 7, 30, cores=cores, **options
+        )
+        for engine in ENGINES[1:]:
+            systems = []
+            assert (
+                _fingerprint(
+                    engine, specs, 10, 0.0, 7, 30,
+                    cores=cores, systems=systems, **options,
+                )
+                == reference
+            ), engine
+            assert systems[0]._batch_engine.fast_forwarded_substeps > 0
+        return reference
+
+    def test_finite_finish_inside_fast_forward_window(self, monkeypatch):
+        """A finite workload finishes inside the window a steady machine
+        would otherwise fast-forward: the window stops short and the
+        finishing step runs on the normal path."""
+        windows = []
+        fast_forward = BatchTickEngine._fast_forward
+
+        def spy(engine, remaining):
+            skipped = fast_forward(engine, remaining)
+            windows.append((remaining, skipped))
+            return skipped
+
+        monkeypatch.setattr(BatchTickEngine, "_fast_forward", spy)
+        a, b, c = self.STEADY_A, self.STEADY_B, self.STEADY_C
+        specs = [
+            (a, a, "plain", 0, True),
+            (b, b, "finite", 0, True),
+            (c, c, "plain", 1, True),
+        ]
+        _, final = self._assert_fast_forwarded_equivalence(
+            specs, [0, 1, 4], finite_total=1.1e8
+        )
+        assert final[1][5] is not None  # the finite workload finished
+        assert any(0 < skipped < remaining for remaining, skipped in windows)
+
+    def test_interactive_boundary_around_fast_forward(self):
+        """An interactive workload alone on socket 1 hits its burst
+        boundary, blocks, and leaves the rest of the machine steady."""
+        a, b, c = self.STEADY_A, self.STEADY_B, self.STEADY_C
+        specs = [
+            (a, a, "plain", 0, True),
+            (b, b, "plain", 0, True),
+            (c, c, "interactive", 1, True),
+        ]
+        _, final = self._assert_fast_forwarded_equivalence(
+            specs, [0, 1, 4], think_usec=25_000
+        )
+        assert final[2][6] is not None  # it blocked at a burst boundary
+
+    def test_phase_crossing_beside_fast_forward(self):
+        """A phased workload shares a core with a plain one: the machine
+        fast-forwards only while the plain one runs, and the phased one
+        crosses phases on the normal path."""
+        a, b, c = self.STEADY_A, self.STEADY_B, self.STEADY_C
+        specs = [
+            (a, a, "plain", 0, True),
+            (b, b, "plain", 0, True),
+            (b, c, "phased", 1, True),
+            (c, c, "plain", 1, True),
+        ]
+        _, final = self._assert_fast_forwarded_equivalence(
+            specs, [0, 1, 4, 4], phase_instructions=3e7
+        )
+        assert final[2][4] > 3e7  # crossed into its second phase
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(ValueError):

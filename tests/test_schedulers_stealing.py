@@ -1,10 +1,15 @@
 """Tests for XCS work stealing (SMP load balancing)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.ks4xen import KS4Xen
+from repro.hardware.specs import numa_machine
 from repro.hypervisor.system import VirtualizedSystem
 from repro.hypervisor.vm import VmConfig
 from repro.schedulers.credit import CreditScheduler
+from repro.telemetry import MetricsRecorder
 from repro.workloads.profiles import application_workload
 
 
@@ -68,3 +73,143 @@ class TestWorkStealing:
             core = vm.vcpus[0].current_core
             assert core is not None
             assert system.machine.core(core).socket_id == 0
+
+
+# -- the early-exit steal scan against the candidate-list reference -----------
+
+
+def _reference_steal(scheduler, core_id):
+    """``CreditScheduler._steal`` as it was before the early-exit scan,
+    frozen: each runqueue is filtered into a full candidate list (runnable,
+    not parked) before the first stealable vCPU is taken from it."""
+    machine = scheduler.system.machine
+    my_socket = machine.core(core_id).socket_id
+    accounts = scheduler.accounts
+
+    def candidates(other_core_id):
+        order = scheduler._rr_order.get(other_core_id)
+        if not order:
+            return []
+        by_gid = scheduler._vcpu_by_gid
+        return [
+            vcpu
+            for vcpu in (by_gid[gid] for gid in order)
+            if vcpu.runnable and not scheduler.is_parked(vcpu)
+        ]
+
+    def steal_from(other_core_id):
+        for vcpu in candidates(other_core_id):
+            if (
+                vcpu.pinned_core is None
+                and not vcpu.is_running
+                and accounts[vcpu.gid].credits > 0
+            ):
+                scheduler.reassign_vcpu(vcpu, core_id)
+                scheduler.system.recorder.inc("credit.steals")
+                return vcpu
+        return None
+
+    for want_same_socket in (True, False):
+        for other in machine.cores:
+            if other.core_id == core_id:
+                continue
+            if (other.socket_id == my_socket) is not want_same_socket:
+                continue
+            vcpu = steal_from(other.core_id)
+            if vcpu is not None:
+                return vcpu
+    return None
+
+
+#: What a queued vCPU is doing when an idle core looks for work.
+STATES = ("waiting", "running", "blocked", "paused", "parked")
+
+#: Home cores: three on socket 0 and two on socket 1, so runqueues are
+#: often several vCPUs deep and the walk order decides the steal.
+queued_vcpus = st.lists(
+    st.tuples(
+        st.sampled_from([0, 1, 2, 4, 5]),  # home core
+        st.booleans(),  # pinned to its home core?
+        st.sampled_from(STATES),
+        st.sampled_from([-300.0, -0.5, 0.0, 0.5, 100.0, 300.0]),  # credits
+    ),
+    min_size=1,
+    max_size=16,
+)
+
+
+def _queued_system(vcpu_specs):
+    """KS4Xen on two 4-core sockets with the given runqueues."""
+    system = VirtualizedSystem(
+        KS4Xen(), numa_machine(), recorder=MetricsRecorder()
+    )
+    scheduler = system.scheduler
+    for index, (home, pinned, state, credits) in enumerate(vcpu_specs):
+        vm = system.create_vm(
+            VmConfig(
+                name=f"q{index}",
+                workload=application_workload("gcc"),
+                pinned_cores=[home] if pinned else None,
+                llc_cap=100_000,
+            )
+        )
+        vcpu = vm.vcpus[0]
+        scheduler.reassign_vcpu(vcpu, home)
+        scheduler.accounts[vcpu.gid].credits = credits
+        if state == "running":
+            vcpu.current_core = home
+        elif state == "blocked":
+            vcpu.blocked_until_usec = 1_000
+        elif state == "paused":
+            vcpu.paused = True
+        elif state == "parked":
+            scheduler.kyoto.account_of(vm).quota = -1.0
+    return system
+
+
+def _steal_outcome(system, stolen):
+    scheduler = system.scheduler
+    return (
+        None if stolen is None else stolen.gid,
+        scheduler._rr_order,
+        scheduler.assigned_core,
+        system.recorder.counters.get("credit.steals", 0),
+    )
+
+
+class TestStealMatchesReference:
+    @settings(max_examples=80, deadline=None)
+    @given(specs=queued_vcpus, thief=st.integers(min_value=0, max_value=7))
+    def test_same_vcpu_stolen_with_same_side_effects(self, specs, thief):
+        system = _queued_system(specs)
+        reference = _queued_system(specs)
+        assert _steal_outcome(
+            system, system.scheduler._steal(thief)
+        ) == _steal_outcome(
+            reference, _reference_steal(reference.scheduler, thief)
+        )
+
+    def test_every_predicate_skips_its_vcpu(self):
+        """Deterministic pin: a pinned, a running, a blocked, a paused, a
+        parked and an OVER vCPU queue ahead of the first stealable vCPU
+        on core 1, a second one queues behind it, and a stealable vCPU
+        waits on the remote socket."""
+        specs = [
+            (1, True, "waiting", 300.0),
+            (1, False, "running", 300.0),
+            (1, False, "blocked", 300.0),
+            (1, False, "paused", 300.0),
+            (1, False, "parked", 300.0),
+            (1, False, "waiting", -0.5),
+            (1, False, "waiting", 0.5),
+            (5, False, "waiting", 300.0),
+            (1, False, "waiting", 300.0),
+        ]
+        system = _queued_system(specs)
+        reference = _queued_system(specs)
+        stolen = system.scheduler._steal(0)
+        assert stolen is system.vms[6].vcpus[0]
+        assert system.scheduler.assigned_core[stolen.gid] == 0
+        assert _steal_outcome(system, stolen) == _steal_outcome(
+            reference, _reference_steal(reference.scheduler, 0)
+        )

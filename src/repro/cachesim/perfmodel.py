@@ -178,11 +178,10 @@ def execute_step(
     This function is the *reference semantics* for the step arithmetic.
     The batched tick engine (``repro.hypervisor.batch``) re-implements
     the same chain over slot locals (inline in
-    ``BatchTickEngine.execute_tick``, and its numpy kernel) and is
-    pinned bit-identical to it by property
-    tests and the experiment goldens; any change to an expression here
-    must be mirrored there (and vice versa), keeping the evaluation
-    order of every float operation intact.
+    ``BatchTickEngine.execute_tick``) and is pinned bit-identical to it
+    by property tests and the experiment goldens; any change to an
+    expression here must be mirrored there (and vice versa), keeping the
+    evaluation order of every float operation intact.
     """
     if cycles < 0:
         raise ValueError(f"cycles must be >= 0, got {cycles}")

@@ -32,7 +32,10 @@ Why it is faster than the scalar loop:
   bitwise-identical (pressure, cap) pair to the previous sub-step and
   that sub-step's relaxation provably left the occupancy state
   untouched, this sub-step's relaxation is skipped outright — same
-  deterministic inputs, same no-op result.
+  deterministic inputs, same no-op result.  Every LLC domain, the
+  colour-partitioned ``PartitionedLlcDomain`` included, exposes the two
+  things the proof needs: its live occupancy dict (``_occupancy``, read
+  directly by the slots) and a monotone ``_state_version``.
 * **Steady-state fast-forward.**  Once a whole sub-step was steady —
   every occupied slot memo-hit with a static behavior right after
   executing the previous sub-step, nothing was vacated, finished or
@@ -48,22 +51,12 @@ keep in mind when extending the engine: any call that can read vCPU
 progress, PMC counters or the penalty map mid-tick must be preceded by
 :meth:`BatchTickEngine._flush`.  See docs/performance.md for the field
 map and how to add a per-step quantity without breaking goldens.
-
-An optional numpy backend (``tick_engine="batch-numpy"``) vectorises the
-perf-model arithmetic across memo-missing slots.  Elementwise float64
-add/sub/mul/div/min/max in numpy are bitwise identical to CPython, but
-``np.power`` is **not** (SIMD pow differs by 1 ulp on ~4% of inputs), so
-the ``resident ** theta`` term is always computed with per-element
-Python pow.  The kernel only pays off when many slots miss the memo at
-once (cold starts, mass phase changes on wide machines); the
-pure-python engine is the default.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
+from typing import Dict, List, TYPE_CHECKING
 
-from repro.cachesim.occupancy import LlcOccupancyDomain
 from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,25 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Sentinel for "this slot did not execute the previous sub-step".
 _NEVER = -10
-
-
-class _OccupancyView:
-    """dict-``get`` adapter over a duck-typed occupancy domain.
-
-    Sockets normally carry a :class:`LlcOccupancyDomain`, whose private
-    occupancy dict the hot loop reads directly.  Partitioning swaps in
-    replacement domains (e.g. ``PartitionedLlcDomain``) that only expose
-    ``occupancy_of``; this view gives them the same ``.get`` surface so
-    the sub-step loop stays branch-free.
-    """
-
-    __slots__ = ("_domain",)
-
-    def __init__(self, domain) -> None:
-        self._domain = domain
-
-    def get(self, owner: int, default: float = 0.0) -> float:
-        return self._domain.occupancy_of(owner)
 
 
 class _CoreSlot:
@@ -186,23 +160,8 @@ class _CoreSlot:
 class BatchTickEngine:
     """Executes one scheduler tick over per-core slots, bit-exactly."""
 
-    def __init__(
-        self, system: "VirtualizedSystem", use_numpy: bool = False
-    ) -> None:
-        self._np = None
-        if use_numpy:
-            # Imported here, not at module level, so runs that never select
-            # batch-numpy do not pay numpy's import time and memory.
-            try:
-                import numpy
-            except ImportError:  # pragma: no cover - numpy is optional
-                raise RuntimeError(
-                    "tick_engine='batch-numpy' requires numpy, which is not "
-                    "importable in this environment"
-                ) from None
-            self._np = numpy
+    def __init__(self, system: "VirtualizedSystem") -> None:
         self.system = system
-        self.use_numpy = use_numpy
         self.slots: List[_CoreSlot] = [
             _CoreSlot(
                 core,
@@ -230,36 +189,27 @@ class BatchTickEngine:
         self._prev_nop: List[bool] = [False] * num_sockets
         self._ver_after: List[int] = [-1] * num_sockets
         self._dirty: List[bool] = [True] * num_sockets
-        # Per-socket domain binding: the domain object each slot's
-        # occupancy view currently reads, and whether it is a native
-        # LlcOccupancyDomain (direct dict reads + relax elision) or a
-        # duck-typed replacement (method reads, relax always called).
+        # The domain object each socket's slots currently read.
         self._bound_domains: List = [None] * num_sockets
-        self._fast_domain: List[bool] = [True] * num_sockets
         self._rebind_domains()
 
     def _rebind_domains(self) -> None:
-        """Re-check each socket's LLC domain identity and rebind views.
+        """Rebind any socket whose LLC domain object was replaced.
 
-        Partitioning controllers replace ``system.llc_domains[socket_id]``
-        wholesale (``apply_page_coloring``), potentially between any two
-        ticks.  A native :class:`LlcOccupancyDomain` keeps the direct
-        occupancy-dict read and relax elision; a duck-typed replacement
-        (e.g. ``PartitionedLlcDomain``) reads through ``occupancy_of``
-        and has its relaxation called unconditionally — it carries no
-        ``_state_version``, so no-op relaxations cannot be proven.
+        Partitioning replaces ``system.llc_domains[socket_id]`` wholesale
+        (``apply_page_coloring``, ``UcpController``), potentially between
+        any two ticks.  Every domain exposes its live occupancy dict as
+        ``_occupancy`` and a monotone ``_state_version``, so the slots
+        read the new dict directly and the socket's relax-elision proof
+        starts over.
         """
-        domains = self.system.llc_domains
         bound = self._bound_domains
-        for socket_id, domain in enumerate(domains):
+        for socket_id, domain in enumerate(self.system.llc_domains):
             if domain is bound[socket_id]:
                 continue
             bound[socket_id] = domain
-            fast = isinstance(domain, LlcOccupancyDomain)
-            self._fast_domain[socket_id] = fast
-            occ_map = domain._occupancy if fast else _OccupancyView(domain)
             for slot in self.socket_slots[socket_id]:
-                slot.occ_map = occ_map
+                slot.occ_map = domain._occupancy
             self._prev_nop[socket_id] = False
             self._ver_after[socket_id] = -1
             self._dirty[socket_id] = True
@@ -465,15 +415,12 @@ class BatchTickEngine:
         socket_slots = self.socket_slots
         prev_nop = self._prev_nop
         ver_after = self._ver_after
-        fast_domain = self._fast_domain
-        use_numpy = self.use_numpy
         llc_cycles = self._llc_cycles
         load_behavior = _load_behavior
         substeps = system.substeps_per_tick
         # A fixed point is provable only without jitter (every step would
-        # take _finish_step) and on native domains (a duck-typed relax
-        # carries no version counter).
-        may_fast_forward = jitter_stream is None and all(fast_domain)
+        # take _finish_step).
+        may_fast_forward = jitter_stream is None
 
         step = 0
         while step < substeps:
@@ -481,17 +428,6 @@ class BatchTickEngine:
             self._stamp += 1
             stamp = self._stamp
             prev_stamp = stamp - 1
-            # Deferred memo-miss slots for the numpy kernel.  Safe only
-            # when no vacate can interleave (a vacate flushes, and
-            # deferred slots would flush stale mirrors) and jitter is off
-            # (the RNG stream must advance in core order).
-            defer: Optional[List[Tuple]] = (
-                []
-                if use_numpy
-                and self._stopped_count == 0
-                and jitter_stream is None
-                else None
-            )
 
             for slot in slots:
                 vcpu = slot.vcpu
@@ -536,15 +472,11 @@ class BatchTickEngine:
                         work_cycles = budget_cycles
                     if behavior is not slot.m_behavior:
                         load_behavior(slot, behavior)
-                    if defer is not None:
-                        defer.append((slot, behavior, occupancy, work_cycles))
-                        continue
                     # The perf-model step, expression-identical to the
-                    # reference execute_step; the numpy kernel in
-                    # _run_deferred is the engine's only other copy.
-                    # min(1.0, max(0.0, r)) is spelled out: max() keeps its
-                    # first argument unless a later one is strictly larger,
-                    # min() unless strictly smaller.
+                    # reference execute_step.  min(1.0, max(0.0, r)) is
+                    # spelled out: max() keeps its first argument unless a
+                    # later one is strictly larger, min() unless strictly
+                    # smaller.
                     if slot.b_trivial:
                         hit = 1.0
                     else:
@@ -632,9 +564,6 @@ class BatchTickEngine:
                 ):
                     self._mark_finished(slot, now_usec)
 
-            if defer:
-                self._run_deferred(defer, now_usec, stamp)
-
             # Steady: no socket was dirtied this sub-step, so every
             # occupied slot took the memo-hit unclipped tail right after
             # executing the previous sub-step, no vacate ran, and nothing
@@ -670,20 +599,14 @@ class BatchTickEngine:
                         pressures[slot.gid] = slot.sub_miss
                         caps[slot.gid] = slot.b_cap
                 if pressures:
-                    if fast_domain[socket_id]:
-                        version_before = domain._state_version
-                        domain.relax(pressures, caps)
-                        version_now = domain._state_version
-                        nop = version_now == version_before
-                        prev_nop[socket_id] = nop
-                        ver_after[socket_id] = version_now
-                        if not nop:
-                            steady = False
-                    else:
-                        # Duck-typed domain: no version counter, so a
-                        # no-op relaxation can never be proven.
-                        domain.relax(pressures, caps)
-                        prev_nop[socket_id] = False
+                    version_before = domain._state_version
+                    domain.relax(pressures, caps)
+                    version_now = domain._state_version
+                    nop = version_now == version_before
+                    prev_nop[socket_id] = nop
+                    ver_after[socket_id] = version_now
+                    if not nop:
+                        steady = False
                 else:
                     prev_nop[socket_id] = False
                 dirty[socket_id] = False
@@ -882,106 +805,6 @@ class BatchTickEngine:
         if progress.finished_at_usec is None:
             progress.finished_at_usec = now_usec
 
-    # -- numpy kernel --------------------------------------------------------
-
-    def _run_deferred(
-        self, deferred: List[Tuple], now_usec: int, stamp: int
-    ) -> None:
-        """Finish memo-missing slots with the vectorised step.
-
-        Deferral is order-safe here: no vacate can interleave (checked at
-        sub-step start) and the tail effects are per-slot independent, so
-        running the tails after the scan leaves identical state.  Every
-        deferred slot's ``b_*`` fields were loaded during the scan.
-        """
-        np = self._np
-        count = len(deferred)
-        wss = np.empty(count)
-        lapki = np.empty(count)
-        lapki_k = np.empty(count)
-        theta = np.empty(count)
-        keep = np.empty(count)
-        base_cpi = np.empty(count)
-        mlp = np.empty(count)
-        memory_cycles = np.empty(count)
-        occupancy_arr = np.empty(count)
-        work = np.empty(count)
-        for index, (slot, _behavior, occupancy, work_cycles) in enumerate(
-            deferred
-        ):
-            wss[index] = slot.b_wss
-            lapki[index] = slot.b_lapki
-            lapki_k[index] = slot.b_lapki_k
-            theta[index] = slot.b_theta
-            keep[index] = slot.b_keep
-            base_cpi[index] = slot.b_base_cpi
-            mlp[index] = slot.b_mlp
-            memory_cycles[index] = slot.memory_cycles
-            occupancy_arr[index] = occupancy
-            work[index] = float(work_cycles)
-        trivial = (wss <= 0.0) | (lapki == 0.0)
-        safe_wss = np.where(trivial, 1.0, wss)
-        resident = np.minimum(
-            1.0, np.maximum(0.0, occupancy_arr / safe_wss)
-        )
-        # np.power diverges from CPython pow by 1 ulp on ~4% of inputs
-        # (SIMD pow); x ** 1.0 == x bitwise, so only theta != 1.0 needs
-        # the per-element Python pow.
-        reuse_hit = resident.copy()
-        for index in np.nonzero(theta != 1.0)[0]:
-            reuse_hit[index] = float(resident[index]) ** float(theta[index])
-        hit = keep * reuse_hit
-        hit[trivial] = 1.0
-        access_cost = hit * self._llc_cycles + (1.0 - hit) * memory_cycles
-        cpi = base_cpi + lapki_k * access_cost / mlp
-        instructions_arr = work / cpi
-        accesses_arr = instructions_arr * lapki / 1000.0
-        misses_arr = accesses_arr * (1.0 - hit)
-        for index, (slot, behavior, occupancy, work_cycles) in enumerate(
-            deferred
-        ):
-            # float() strips the numpy scalar type: the values flow into
-            # reports and json cannot serialise np.float64.
-            self._store_memo_and_finish(
-                slot, behavior, occupancy, work_cycles,
-                float(instructions_arr[index]),
-                float(accesses_arr[index]),
-                float(misses_arr[index]),
-                now_usec, stamp,
-            )
-
-    def _store_memo_and_finish(
-        self,
-        slot: _CoreSlot,
-        behavior,
-        occupancy: float,
-        work_cycles: int,
-        instructions: float,
-        accesses: float,
-        misses: float,
-        now_usec: int,
-        stamp: int,
-    ) -> None:
-        if work_cycles == slot.budget_cycles:
-            slot.m_behavior = behavior
-            slot.m_occ = occupancy
-            slot.r_instructions = instructions
-            slot.r_accesses = accesses
-            slot.r_misses = misses
-        # Deferred steps only exist with jitter off (checked at sub-step
-        # start), so no jitter fraction or stream is threaded through.
-        self._finish_step(
-            slot,
-            slot.budget_cycles,
-            instructions,
-            accesses,
-            misses,
-            0.0,
-            None,
-            now_usec,
-            stamp,
-        )
-
 
 def _load_behavior(slot: _CoreSlot, behavior) -> None:
     """Load ``behavior`` into ``slot``'s ``b_*`` fields.
@@ -989,11 +812,10 @@ def _load_behavior(slot: _CoreSlot, behavior) -> None:
     Also derives the step constants that depend on the behavior alone
     (the trivial-hit test, ``1.0 - stream_fraction`` and
     ``lapki / 1000.0``), so they are computed once per sample change
-    instead of once per step, for both the inline step and the numpy
-    kernel.  Invalidates the memo first: the ``b_*`` fields must always
-    describe ``m_behavior``, and a penalty-shortened step (which never
-    stores a memo) would otherwise leave them describing a different
-    sample than a surviving memo entry.
+    instead of once per step.  Invalidates the memo first: the ``b_*``
+    fields must always describe ``m_behavior``, and a penalty-shortened
+    step (which never stores a memo) would otherwise leave them
+    describing a different sample than a surviving memo entry.
     """
     slot.m_behavior = None
     wss = behavior.wss_lines

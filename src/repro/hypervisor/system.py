@@ -26,7 +26,6 @@ Experiments attach per-tick observers to record timelines (Figs 2, 5).
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cachesim.occupancy import LlcOccupancyDomain
@@ -69,7 +68,7 @@ class VirtualizedSystem:
         perf_jitter_fraction: float = 0.0,
         seed: int = 0,
         recorder: Optional[MetricsRecorder] = None,
-        tick_engine: Optional[str] = None,
+        tick_engine: str = "batch",
     ) -> None:
         if tick_usec <= 0:
             raise ValueError(f"tick_usec must be positive, got {tick_usec}")
@@ -177,18 +176,13 @@ class VirtualizedSystem:
 
         #: Which inner tick-loop implementation executes sub-steps.
         #: ``batch`` (default) is the struct-of-arrays engine in
-        #: :mod:`repro.hypervisor.batch`; ``batch-numpy`` adds its
-        #: vectorised perf-model kernel; ``scalar`` is the reference
-        #: per-core loop.  All three are bit-exact with each other
-        #: (asserted by the equivalence property tests).  The
-        #: ``REPRO_TICK_ENGINE`` environment variable supplies the
-        #: default so experiments can be cross-checked without edits.
-        if tick_engine is None:
-            tick_engine = os.environ.get("REPRO_TICK_ENGINE", "batch")
-        if tick_engine not in ("batch", "batch-numpy", "scalar"):
+        #: :mod:`repro.hypervisor.batch`; ``scalar`` is the reference
+        #: per-core loop the equivalence property tests pin it against,
+        #: bit for bit.
+        if tick_engine not in ("batch", "scalar"):
             raise ValueError(
-                f"unknown tick_engine {tick_engine!r}; expected 'batch', "
-                f"'batch-numpy' or 'scalar'"
+                f"unknown tick_engine {tick_engine!r}; expected 'batch' or "
+                f"'scalar'"
             )
         self.tick_engine = tick_engine
         # The batch engine's per-core slots are built lazily on the
@@ -498,9 +492,7 @@ class VirtualizedSystem:
         if executor is None:
             from .batch import BatchTickEngine
 
-            self._batch_engine = BatchTickEngine(
-                self, use_numpy=self.tick_engine == "batch-numpy"
-            )
+            self._batch_engine = BatchTickEngine(self)
             executor = self._tick_executor = self._batch_engine.execute_tick
         executor()
         self.scheduler.on_tick_end(self.tick_index)

@@ -16,7 +16,7 @@ own partition — exactly the page-coloring guarantee.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.cachesim.occupancy import LlcOccupancyDomain
 
@@ -24,9 +24,19 @@ from repro.cachesim.occupancy import LlcOccupancyDomain
 class PartitionedLlcDomain:
     """A colour-partitioned LLC: private slices + one shared remainder.
 
-    Implements the same interface the machine simulation uses on
+    Speaks the occupancy-domain protocol the machine simulation uses on
     :class:`~repro.cachesim.occupancy.LlcOccupancyDomain`, so it can be
-    dropped into a socket with :func:`apply_page_coloring`.
+    dropped into a socket with :func:`apply_page_coloring`.  The batch
+    tick engine reads ``_occupancy`` and ``_state_version`` directly:
+
+    * ``_occupancy`` merges every partition's occupancy map (partitions
+      are owner-disjoint).  It is one dict object for the domain's whole
+      lifetime, refreshed in place after every mutation, in
+      :meth:`snapshot` order: private partitions in allocation order,
+      then the shared one.
+    * ``_state_version`` is the sum of the partitions' versions, so it
+      never decreases and advances whenever any partition may have
+      changed.
     """
 
     def __init__(
@@ -53,44 +63,66 @@ class PartitionedLlcDomain:
         self._shared: Optional[LlcOccupancyDomain] = (
             LlcOccupancyDomain(shared_lines) if shared_lines >= 1 else None
         )
+        self._partitions: List[LlcOccupancyDomain] = list(
+            self._private.values()
+        )
+        if self._shared is not None:
+            self._partitions.append(self._shared)
+        self._occupancy: Dict[int, float] = {}
+        self._state_version = 0
+
+    def _sync(self) -> None:
+        """Refresh the merged map and version after a mutation."""
+        version = sum(p._state_version for p in self._partitions)
+        if version == self._state_version:
+            return
+        self._state_version = version
+        merged = self._occupancy
+        merged.clear()
+        for partition in self._partitions:
+            merged.update(partition._occupancy)
+
+    def _partition_of(self, owner: int) -> Optional[LlcOccupancyDomain]:
+        private = self._private.get(owner)
+        return private if private is not None else self._shared
 
     # -- queries (LlcOccupancyDomain interface) --------------------------------
 
     def occupancy_of(self, owner: int) -> float:
-        if owner in self._private:
-            return self._private[owner].occupancy_of(owner)
-        if self._shared is not None:
-            return self._shared.occupancy_of(owner)
-        return 0.0
+        return self._occupancy.get(owner, 0.0)
 
     @property
     def used_lines(self) -> float:
-        used = sum(d.used_lines for d in self._private.values())
-        if self._shared is not None:
-            used += self._shared.used_lines
-        return used
+        # Partition-wise, not a sum of the merged map: keeps the float
+        # addition order of the per-partition caches.
+        return sum(p.used_lines for p in self._partitions)
 
     @property
     def free_lines(self) -> float:
         return max(0.0, self.total_lines - self.used_lines)
 
     def owners(self) -> Iterable[int]:
-        seen = []
-        for domain in self._private.values():
-            seen.extend(domain.owners())
-        if self._shared is not None:
-            seen.extend(self._shared.owners())
-        return seen
+        return [o for o, occ in self._occupancy.items() if occ > 0.0]
 
     def snapshot(self) -> Dict[int, float]:
-        snap: Dict[int, float] = {}
-        for domain in self._private.values():
-            snap.update(domain.snapshot())
-        if self._shared is not None:
-            snap.update(self._shared.snapshot())
-        return snap
+        return dict(self._occupancy)
 
     # -- mutations ---------------------------------------------------------------
+
+    def _no_shared_partition(self, owners: Iterable[int]) -> ValueError:
+        return ValueError(
+            "owners without a colour allocation need a shared "
+            f"partition, but the colours consumed the whole cache: "
+            f"{sorted(owners)}"
+        )
+
+    def insert(self, owner: int, n_lines: float) -> None:
+        """Insert ``n_lines`` lines for ``owner`` into its own partition."""
+        partition = self._partition_of(owner)
+        if partition is None:
+            raise self._no_shared_partition([owner])
+        partition.insert(owner, n_lines)
+        self._sync()
 
     def relax(
         self,
@@ -99,41 +131,45 @@ class PartitionedLlcDomain:
         active: Optional[Iterable[int]] = None,
     ) -> None:
         """Each owner's insertions act only within its own partition."""
-        active_set = set(pressures) if active is None else set(active)
-        shared_pressures: Dict[int, float] = {}
-        shared_caps: Dict[int, float] = {}
-        for owner, pressure in pressures.items():
-            if owner in self._private:
-                self._private[owner].relax(
-                    {owner: pressure},
-                    {owner: footprint_caps.get(owner, self.total_lines)},
-                    active=[owner],
+        try:
+            active_set = set(pressures) if active is None else set(active)
+            shared_pressures: Dict[int, float] = {}
+            shared_caps: Dict[int, float] = {}
+            for owner, pressure in pressures.items():
+                if owner in self._private:
+                    self._private[owner].relax(
+                        {owner: pressure},
+                        {owner: footprint_caps.get(owner, self.total_lines)},
+                        active=[owner],
+                    )
+                else:
+                    shared_pressures[owner] = pressure
+                    shared_caps[owner] = footprint_caps.get(
+                        owner, self.total_lines
+                    )
+            if shared_pressures:
+                if self._shared is None:
+                    raise self._no_shared_partition(shared_pressures)
+                shared_active = [o for o in active_set if o not in self._private]
+                self._shared.relax(
+                    shared_pressures, shared_caps, active=shared_active
                 )
-            else:
-                shared_pressures[owner] = pressure
-                shared_caps[owner] = footprint_caps.get(owner, self.total_lines)
-        if shared_pressures:
-            if self._shared is None:
-                raise ValueError(
-                    "owners without a colour allocation need a shared "
-                    f"partition, but the colours consumed the whole cache: "
-                    f"{sorted(shared_pressures)}"
-                )
-            shared_active = [o for o in active_set if o not in self._private]
-            self._shared.relax(shared_pressures, shared_caps, active=shared_active)
+        finally:
+            # A raise can follow private relaxations that already moved.
+            self._sync()
 
     def flush_owner(self, owner: int) -> float:
-        if owner in self._private:
-            return self._private[owner].flush_owner(owner)
-        if self._shared is not None:
-            return self._shared.flush_owner(owner)
-        return 0.0
+        partition = self._partition_of(owner)
+        if partition is None:
+            return 0.0
+        flushed = partition.flush_owner(owner)
+        self._sync()
+        return flushed
 
     def reset(self) -> None:
-        for domain in self._private.values():
-            domain.reset()
-        if self._shared is not None:
-            self._shared.reset()
+        for partition in self._partitions:
+            partition.reset()
+        self._sync()
 
 
 def apply_page_coloring(system, allocations_by_vm: Mapping) -> None:

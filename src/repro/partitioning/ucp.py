@@ -148,7 +148,7 @@ class UcpController:
                 continue
             carried = min(occ, slice_lines)
             if carried > 0:
-                new_domain._private[owner].insert(owner, carried)
+                new_domain.insert(owner, carried)
         self.system.llc_domains[self.socket_id] = new_domain
         self.system.machine.sockets[self.socket_id].llc_domain = new_domain
         self.last_allocation = allocation

@@ -4,8 +4,8 @@ The engine has exactly one contract: every observable — truth metrics,
 integer-carry state, per-tick metric dicts, virtualised PMC readings and
 LLC occupancy trajectories — is bit-identical to the scalar reference
 path (``tick_engine="scalar"``).  The property test drives random fleets
-through both engines (and the numpy backend when numpy is importable)
-and compares full fingerprints for equality, not approximation.
+through both engines and compares full fingerprints for equality, not
+approximation.
 
 Also pins the multi-socket accounting bugfixes that shipped with the
 engine: socket-correct frequency in ``truth_llc_cap``, memory-node
@@ -27,7 +27,8 @@ from repro.hardware.specs import MIB, MachineSpec
 from repro.hypervisor.batch import BatchTickEngine
 from repro.hypervisor.system import VirtualizedSystem
 from repro.hypervisor.vm import VmConfig
-from repro.partitioning.static import apply_page_coloring
+from repro.partitioning.static import PartitionedLlcDomain, apply_page_coloring
+from repro.partitioning.ucp import UcpController
 from repro.pmc.counters import PmcEvent
 from repro.schedulers.credit import CreditScheduler
 from repro.workloads.base import Workload
@@ -37,14 +38,7 @@ from repro.workloads.profiles import application_behavior, application_workload
 
 from conftest import hetero_machine, make_vm, socket_spec
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
-ENGINES = ["scalar", "batch"] + (["batch-numpy"] if HAVE_NUMPY else [])
+ENGINES = ["scalar", "batch"]
 
 
 def two_socket_machine() -> MachineSpec:
@@ -123,6 +117,7 @@ def _fingerprint(
     color=False,
     cores=None,
     systems=None,
+    ucp_period=None,
     **workload_options,
 ):
     """Run a fleet on ``engine`` and capture every observable, exactly.
@@ -130,6 +125,8 @@ def _fingerprint(
     A pinned spec runs on ``cores[index]`` when ``cores`` is given, else
     on core ``index`` modulo the core count.  ``workload_options`` go to
     :func:`_workload`; the system is appended to ``systems`` if given.
+    ``ucp_period`` attaches a :class:`UcpController` to socket 0 that
+    swaps in a fresh partitioned domain every that many ticks.
     """
     system = VirtualizedSystem(
         CreditScheduler(),
@@ -161,6 +158,8 @@ def _fingerprint(
         apply_page_coloring(
             system, {vms[0]: 20_000.0, vms[1]: 30_000.0}
         )
+    if ucp_period is not None:
+        UcpController(system, socket_id=0, period_ticks=ucp_period)
     trail = []
 
     def observe(s, tick):
@@ -237,7 +236,7 @@ class TestEngineEquivalence:
             assert _fingerprint(engine, specs, 10, 0.0, 7, 60) == reference
 
     def test_page_colored_domains_bit_identical(self):
-        """Replacement (duck-typed) LLC domains go through the same
+        """Colour-partitioned LLC domains go through the same
         relax/occupancy sequence on every engine."""
         a = CacheBehavior(wss_lines=90_000.0, lapki=30.0)
         b = CacheBehavior(wss_lines=50_000.0, lapki=15.0, stream_fraction=0.4)
@@ -254,6 +253,38 @@ class TestEngineEquivalence:
                 _fingerprint(engine, specs, 10, 0.0, 3, 50, color=True)
                 == reference
             )
+
+    def test_ucp_domain_swaps_bit_identical(self, monkeypatch):
+        """UCP replaces socket 0's domain every 7 ticks: the batch engine
+        rebinds to each new domain, matches the scalar path exactly, and
+        elides relaxations on it that the scalar path performs."""
+        relax_calls = []
+        relax = PartitionedLlcDomain.relax
+
+        def counting_relax(domain, *args, **kwargs):
+            relax_calls[-1] += 1
+            return relax(domain, *args, **kwargs)
+
+        monkeypatch.setattr(PartitionedLlcDomain, "relax", counting_relax)
+        a, b, c = self.STEADY_A, self.STEADY_B, self.STEADY_C
+        specs = [
+            (a, a, "plain", 0, True),
+            (b, b, "plain", 0, True),
+            (c, c, "plain", 0, False),
+            (a, c, "plain", 1, False),
+        ]
+        fingerprints = []
+        for engine in ENGINES:
+            relax_calls.append(0)
+            fingerprints.append(
+                _fingerprint(
+                    engine, specs, 10, 0.0, 9, 50,
+                    cores=[0, 1, 2, 4], ucp_period=7,
+                )
+            )
+        assert fingerprints[1] == fingerprints[0]
+        scalar_calls, batch_calls = relax_calls
+        assert 0 < batch_calls < scalar_calls
 
     # -- steady-state fast-forward pins ---------------------------------
     #
@@ -344,10 +375,9 @@ class TestEngineEquivalence:
         assert final[2][4] > 3e7  # crossed into its second phase
 
     def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            VirtualizedSystem(
-                CreditScheduler(), tick_engine="vectorised-maybe"
-            )
+        for engine in ("vectorised-maybe", "batch-numpy"):
+            with pytest.raises(ValueError):
+                VirtualizedSystem(CreditScheduler(), tick_engine=engine)
 
 
 # -- churn equivalence --------------------------------------------------------

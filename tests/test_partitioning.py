@@ -1,6 +1,8 @@
 """Tests for the cache-partitioning baselines (page coloring, UCP)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cachesim.perfmodel import CacheBehavior
 from repro.hypervisor.system import VirtualizedSystem
@@ -54,6 +56,70 @@ class TestPartitionedDomain:
         assert snap[1] > 0 and snap[2] > 0
         assert domain.used_lines == pytest.approx(sum(snap.values()))
         assert domain.free_lines == pytest.approx(1000 - domain.used_lines)
+
+
+owners = st.integers(min_value=1, max_value=5)  # 1 and 2 hold colours
+domain_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("relax"),
+            st.dictionaries(
+                owners, st.floats(min_value=0, max_value=800), max_size=5
+            ),
+            st.dictionaries(
+                owners, st.floats(min_value=1, max_value=1000), max_size=5
+            ),
+            st.one_of(st.none(), st.lists(owners, max_size=5)),
+        ),
+        st.tuples(
+            st.just("insert"), owners, st.floats(min_value=0, max_value=700)
+        ),
+        st.tuples(st.just("flush_owner"), owners),
+        st.tuples(st.just("reset")),
+    ),
+    max_size=25,
+)
+
+
+class TestMergedOccupancyMap:
+    """The batch engine reads ``_occupancy`` and ``_state_version`` of a
+    partitioned domain directly, and elides a relaxation only while the
+    version stands still, so both must track the partitions exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        allocations=st.sampled_from([{1: 300.0, 2: 200.0}, {1: 600.0, 2: 400.0}]),
+        ops=domain_ops,
+    )
+    def test_merged_map_tracks_partitions(self, allocations, ops):
+        domain = PartitionedLlcDomain(1000, allocations)
+        merged = domain._occupancy
+        partitions = list(domain._private.values())
+        if domain._shared is not None:
+            partitions.append(domain._shared)
+        for op in ops:
+            before = list(merged.items())
+            version_before = domain._state_version
+            try:
+                if op[0] == "relax":
+                    domain.relax(op[1], op[2], op[3])
+                elif op[0] == "insert":
+                    domain.insert(op[1], op[2])
+                elif op[0] == "flush_owner":
+                    domain.flush_owner(op[1])
+                else:
+                    domain.reset()
+            except ValueError:
+                pass  # a stranger with no shared partition to land in
+            union = {}
+            for partition in partitions:
+                union.update(partition.snapshot())
+            assert domain._occupancy is merged
+            assert list(merged.items()) == list(union.items())
+            assert domain.snapshot() == union
+            assert domain._state_version >= version_before
+            if list(merged.items()) != before:
+                assert domain._state_version > version_before
 
 
 class TestPageColoringOnSystem:

@@ -1,6 +1,6 @@
 """Plain-text reporting helpers.
 
-The benchmark harness prints each reproduced table/figure as an aligned
+Every experiment driver renders its table/figure as an aligned
 ASCII table so runs can be compared to the paper at a glance (and so
 EXPERIMENTS.md can be regenerated mechanically).
 """

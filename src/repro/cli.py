@@ -60,6 +60,7 @@ from repro.experiments.registry import (
     REGISTRY,
     SCENARIO_SUFFIXES,
     expand_names,
+    experiment_names,
     scenario_points,
     scenario_spec_of,
 )
@@ -498,10 +499,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def list_experiments() -> str:
+    width = max(len(name) for name in EXPERIMENTS)
     lines = ["available experiments:"]
     for name, (description, __) in EXPERIMENTS.items():
-        lines.append(f"  {name:8s} {description}")
-    lines.append("  all      run everything")
+        lines.append(f"  {name:{width}s} {description}")
+    in_all = set(experiment_names())
+    extras = ", ".join(name for name in EXPERIMENTS if name not in in_all)
+    lines.append(f"  {'all':{width}s} run everything above except {extras}")
     return "\n".join(lines)
 
 

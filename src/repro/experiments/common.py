@@ -4,7 +4,7 @@ Every experiment driver follows the same pattern: describe its setup as
 a :class:`~repro.scenario.spec.ScenarioSpec` (or build a
 :class:`~repro.hypervisor.system.VirtualizedSystem` directly for the
 few bespoke cases), warm it up, measure over a window, and return a
-small result dataclass that the benchmark harness formats with
+small result dataclass that its ``format_report`` renders with
 :mod:`repro.analysis.reporting`.
 
 The measurement protocols and the paper constants live in

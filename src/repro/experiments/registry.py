@@ -34,7 +34,7 @@ from repro.scenario import (
 )
 
 from . import (
-    chaos, fig01, fig02, fig03, fig04, fig05, fig06,
+    ablations, chaos, fig01, fig02, fig03, fig04, fig05, fig06,
     fig07, fig08, fig09, fig10, fig11, fig12, tables,
 )
 
@@ -111,6 +111,26 @@ def chaos_report() -> str:
     return chaos.format_report(chaos.run())
 
 
+def abl_quota_report() -> str:
+    return ablations.format_quota(ablations.run_quota())
+
+
+def abl_period_report() -> str:
+    return ablations.format_period(ablations.run_period())
+
+
+def abl_policy_report() -> str:
+    return ablations.format_policy(ablations.run_policy())
+
+
+def abl_model_report() -> str:
+    return ablations.format_model(ablations.run_model())
+
+
+def abl_enforce_report() -> str:
+    return ablations.format_enforce(ablations.run_enforce())
+
+
 #: Canonical experiment order — the order ``run all`` executes.
 _SPECS: Tuple[ExperimentSpec, ...] = (
     ExperimentSpec("table1", "experimental machine", table1_report),
@@ -130,11 +150,28 @@ _SPECS: Tuple[ExperimentSpec, ...] = (
 )
 
 #: Runnable by name but *not* part of ``run all``: the chaos sweep
-#: exercises the fault-injection path (repro.faults), and keeping it out
-#: of ``all`` keeps the paper-reproduction artifact set byte-stable.
+#: exercises the fault-injection path (repro.faults) and the ``abl-*``
+#: design-choice ablations go beyond the paper; keeping them out of
+#: ``all`` keeps the paper-reproduction artifact set byte-stable.
 _EXTRA_SPECS: Tuple[ExperimentSpec, ...] = (
     ExperimentSpec(
         "chaos", "resilient monitoring under fault injection", chaos_report
+    ),
+    ExperimentSpec(
+        "abl-quota", "ablation: pollution-quota bank size", abl_quota_report
+    ),
+    ExperimentSpec(
+        "abl-period", "ablation: monitoring period", abl_period_report
+    ),
+    ExperimentSpec(
+        "abl-policy", "ablation: replacement policies vs a scan", abl_policy_report
+    ),
+    ExperimentSpec(
+        "abl-model", "ablation: occupancy model vs set-assoc cache", abl_model_report
+    ),
+    ExperimentSpec(
+        "abl-enforce", "ablation: Kyoto vs partitioning and MemGuard",
+        abl_enforce_report,
     ),
 )
 

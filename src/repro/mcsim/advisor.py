@@ -6,7 +6,7 @@ will they hurt each other?*  The advisor answers offline, in two tiers:
 1. **Analytical prediction** (:meth:`ColocationAdvisor.assess`): solve
    the shared-LLC mean-field equilibrium — the same waterfilled
    occupancy model the machine simulation runs on, and which the
-   cross-validation ablation checks against the faithful simulator —
+   ``abl-model`` ablation checks against the faithful simulator —
    directly for the candidate set.  Microseconds per query.
 2. **Faithful cross-check** (:meth:`ColocationAdvisor.cross_check`):
    co-run the workloads' pin-captured traces through the line-accurate

@@ -7,7 +7,7 @@ set-associative LLC, and their trace records are interleaved in
 round-robin execution order.  It serves two purposes:
 
 * a second, independent check of the analytical occupancy model's
-  contention predictions (see the cross-validation ablation benchmark);
+  contention predictions (see the ``abl-model`` ablation);
 * "what-if colocation" queries a provider could run off-host before
   placing VMs together — the McSimA+ use-case the paper's monitoring
   protocol hints at.

@@ -99,6 +99,7 @@ class TestExpandNames:
         known, unknown = expand_names(["all"])
         assert known == experiment_names()
         assert unknown == []
+        assert not [n for n in experiment_names() if n.startswith("abl-")]
 
     def test_duplicates_run_once_keeping_first_position(self):
         known, unknown = expand_names(["table2", "table1", "table2"])

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, list_experiments, run_experiments
+from repro.experiments.registry import experiment_names
 
 
 class TestParser:
@@ -41,13 +42,29 @@ class TestParser:
 class TestListing:
     def test_all_figures_and_tables_present(self):
         expected = {f"fig{i:02d}" for i in range(1, 13)} | {"table1", "table2"}
-        # ``chaos`` is runnable by name but not part of ``run all``.
-        assert set(EXPERIMENTS) == expected | {"chaos"}
+        # ``chaos`` and the ablations are runnable by name but not part
+        # of ``run all``.
+        extras = {"chaos"} | {
+            f"abl-{n}" for n in ("quota", "period", "policy", "model", "enforce")
+        }
+        assert set(EXPERIMENTS) == expected | extras
 
     def test_listing_mentions_everything(self):
         text = list_experiments()
         for name in EXPERIMENTS:
             assert name in text
+
+    def test_listing_says_what_all_leaves_out(self):
+        all_line = list_experiments().splitlines()[-1]
+        assert all_line.split()[0] == "all"
+        for name in EXPERIMENTS:
+            assert (name in all_line) == (name not in experiment_names()), name
+
+    def test_listing_columns_align(self):
+        """Descriptions start in one column, however long the names."""
+        rows = list_experiments().splitlines()[1:]
+        starts = {len(row) - len(row.split(None, 1)[1]) for row in rows}
+        assert len(starts) == 1, rows
 
 
 class TestRunning:

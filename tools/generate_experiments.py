@@ -221,8 +221,8 @@ def main() -> None:
 
     parts.append(
         "\n## Ablations (beyond the paper)\n\n"
-        "Run `pytest benchmarks/ --benchmark-only -s -k ablation` for the "
-        "design-choice studies: pollution-quota bank size, monitoring "
+        "Run `python -m repro run abl-quota abl-period abl-policy abl-model "
+        "abl-enforce` for the design-choice studies: pollution-quota bank size, monitoring "
         "period, replacement-policy scan resistance, occupancy-model vs "
         "set-associative cross-validation, and the enforcement shoot-out "
         "(XCS / page coloring / UCP / MemGuard / Kyoto).\n"

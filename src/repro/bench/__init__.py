@@ -14,7 +14,7 @@ dependency-free (stdlib only, wall clock strictly through
   scenario materialization, campaign fan-out plumbing and the
   execution-time protocol (absorbing the old ``tools/bench_exec_time.py``),
 * :mod:`repro.bench.compare` — regression gating against a committed
-  baseline (``BENCH_pr16.json``): ``repro bench --compare BASELINE
+  baseline (``BENCH_pr20.json``): ``repro bench --compare BASELINE
   --tolerance PCT`` exits nonzero when any benchmark's median is slower
   than baseline by more than the tolerance.
 

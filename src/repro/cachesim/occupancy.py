@@ -20,6 +20,10 @@ insertions, which reproduces the paper's Fig 2 zigzag: after each time
 slice spent descheduled, a VM restarts with a cold(er) cache and pays a
 burst of reload misses.
 
+:meth:`LlcOccupancyDomain.relax` advances this state once per simulated
+sub-step, so it is the model's hot path; it reproduces a frozen
+round-by-round reference bit for bit (``tests/test_cachesim_occupancy.py``).
+
 The model is deliberately deterministic (expected-value dynamics); the
 stochastic fine structure is available from the faithful simulator in
 :mod:`repro.cachesim.setassoc` when needed.
@@ -238,6 +242,11 @@ class LlcOccupancyDomain:
           equilibrium: shares proportional to insertion pressure, capped
           by footprints, with one cache-capacity's worth of insertions as
           the exponential time constant.
+
+        A call whose waterfill would finish in its first round (no
+        ``active`` list, every pressure and cap positive, no owner's share
+        reaching its cap) computes the shares inline instead of calling
+        :func:`waterfill_allocation`; the result is bitwise the same.
         """
         if pressures and min(pressures.values()) < 0:
             raise ValueError(f"negative insertion pressure: {pressures}")
@@ -277,25 +286,48 @@ class LlcOccupancyDomain:
 
         # Phase 2: active owners move toward the waterfilled equilibrium
         # of the capacity not pinned down by surviving dead lines.
-        equilibrium = waterfill_allocation(
-            capacity_active, pressures, footprint_caps
-        )
+        targets: Optional[Dict[int, float]] = None
+        if active is None:
+            # Single-round shape: when every owner passes waterfill's
+            # filter and none saturates, waterfill returns its first
+            # round's shares in pressures order, over a total pressure
+            # summed from the same floats in the same order as
+            # total_insertions, so each share here is the same float.
+            # The walk below visits owners in pressures order instead of
+            # sorted(pressures): an existing key keeps its dict position
+            # either way, and fresh owners are inserted sorted.
+            targets = {}
+            caps_get = footprint_caps.get
+            for owner, pressure in pressures.items():
+                share = capacity_active * pressure / total_insertions
+                # A cap above a non-negative share is positive; a NaN
+                # cap fails here as it fails waterfill's filter.
+                if not (pressure > 0 and caps_get(owner, capacity_active) > share):
+                    targets = None
+                    break
+                targets[owner] = share
+        if targets is None:
+            equilibrium = waterfill_allocation(
+                capacity_active, pressures, footprint_caps
+            )
+            if active_set is None:
+                # With no dead owners, equilibrium | (occupancy & active)
+                # is a subset of pressures.  An owner it leaves out holds
+                # no lines and has no equilibrium share, so it would grow
+                # by min(0.0, pressure) == 0.0 (pressures are
+                # non-negative) and is never stored: walking all of
+                # pressures changes nothing.
+                order = sorted(pressures)
+            else:
+                order = sorted(set(equilibrium) | (set(occupancy) & active_set))
+            equilibrium_get = equilibrium.get
+            targets = {owner: equilibrium_get(owner, 0.0) for owner in order}
         survive = math.exp(-total_insertions / capacity_active)
-        if active_set is None:
-            # With no dead owners, equilibrium | (occupancy & active) is
-            # a subset of pressures.  An owner it leaves out holds no
-            # lines and has no equilibrium share, so it would grow by
-            # min(0.0, pressure) == 0.0 (pressures are non-negative) and
-            # is never stored: walking all of pressures changes nothing.
-            order = sorted(pressures)
-        else:
-            order = sorted(set(equilibrium) | (set(occupancy) & active_set))
         occupancy_get = occupancy.get
-        equilibrium_get = equilibrium.get
         pressures_get = pressures.get
-        for owner in order:
+        fresh = []
+        for owner, target in targets.items():
             current = occupancy_get(owner, 0.0)
-            target = equilibrium_get(owner, 0.0)
             if target >= current:
                 # min(target - current, pressure), spelled out: min()
                 # keeps its first argument unless a later one is strictly
@@ -309,8 +341,16 @@ class LlcOccupancyDomain:
             # existing key keeps its dict position either way, and an
             # absent key with updated == 0.0 would be pruned right after.
             if updated != current:
-                occupancy[owner] = updated
+                if owner in occupancy:
+                    occupancy[owner] = updated
+                else:
+                    fresh.append((owner, updated))
                 changed = True
+        # Owners new to the map join it in sorted order, as a sorted walk
+        # stores them (owners are distinct, so only the keys compare).
+        fresh.sort()
+        for owner, updated in fresh:
+            occupancy[owner] = updated
 
         if not changed:
             # Every store this call would have made was bitwise equal to

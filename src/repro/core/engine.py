@@ -181,11 +181,18 @@ class KyotoEngine:
             cycles_at_last_sample[vm_id] = cycles_run
             measured = self._sample_or_estimate(vm)
             if checking:
+                # Detail string built only on violation; the evaluation
+                # is still counted for every sample.
+                sane = measured >= 0.0
                 self.invariants.require(
-                    measured >= 0.0,
+                    sane,
                     "non-negative-sample",
-                    f"monitor {self.monitor.name} returned {measured} for "
-                    f"{vm.name}",
+                    ""
+                    if sane
+                    else (
+                        f"monitor {self.monitor.name} returned {measured} "
+                        f"for {vm.name}"
+                    ),
                 )
             # llc_cap_act is a *rate* (misses/ms); the debit covers the
             # whole monitoring period so that the sustainable average
@@ -242,10 +249,14 @@ class KyotoEngine:
         for account in self.accounts.values():
             account.refill(ticks=ticks)
             if checking:
+                # Detail string built only on violation, as above.
+                capped = account.quota <= account.quota_max + 1e-9
                 self.invariants.require(
-                    account.quota <= account.quota_max + 1e-9,
+                    capped,
                     "quota-cap",
-                    f"quota {account.quota} exceeds cap {account.quota_max}",
+                    ""
+                    if capped
+                    else f"quota {account.quota} exceeds cap {account.quota_max}",
                 )
 
     # -- reporting ------------------------------------------------------------------

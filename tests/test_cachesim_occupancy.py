@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cachesim import occupancy as occupancy_module
 from repro.cachesim.occupancy import (
     LlcOccupancyDomain,
     waterfill_allocation,
@@ -204,15 +205,15 @@ class TestRelax:
         assert domain.occupancy_of(1) == pytest.approx(400)
 
 
-# -- bitwise oracle: the relaxation before its dense fast path ---------------
+# -- bitwise oracle: the relaxation before its fast paths --------------------
 #
 # Every tick engine calls the same ``relax``, so the engine-equivalence
 # properties cannot see a change to it; only the experiment goldens could.
 # These are the round-by-round waterfill and the two-phase relax as they
-# stood before the dense-shape fast path, frozen here as the reference
-# (free_lines, _refresh_used and _prune inlined).  The live code must
-# reproduce them bit for bit: occupancy values and dict order, used_lines,
-# the state version and the no-op memo.
+# stood before the dense-shape and single-round fast paths, frozen here as
+# the reference (free_lines, _refresh_used and _prune inlined).  The live
+# code must reproduce them bit for bit: occupancy values and dict order,
+# used_lines, the state version and the no-op memo.
 
 
 def _reference_waterfill(capacity, pressures, footprint_caps):
@@ -483,3 +484,88 @@ class TestRelaxMatchesReference:
             _reference_relax(reference, pressures, caps)
             assert _domain_bits(live) == _domain_bits(reference)
         assert len(live.snapshot()) == 16
+
+
+# -- the single-round path ---------------------------------------------------
+
+
+def _zigzag_pressures(step):
+    """Owners 0-7 and 8-15 take turns, five sub-steps each (Fig 2)."""
+    first = 0 if (step // 5) % 2 == 0 else 8
+    return {gid: 400.0 + 29.0 * ((gid * 5 + step) % 11) for gid in range(first, first + 8)}
+
+
+class TestSingleRoundPath:
+    """Calls whose waterfill ends in its first round skip the waterfill."""
+
+    @pytest.fixture
+    def no_waterfill(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("waterfill_allocation reached")
+
+        monkeypatch.setattr(occupancy_module, "waterfill_allocation", refuse)
+
+    def test_dense_and_dead_owner_calls_skip_waterfill(self, no_waterfill):
+        domain = LlcOccupancyDomain(327_680)
+        caps = {gid: 100_000.0 for gid in range(16)}
+        domain.relax({gid: 5_000.0 + gid for gid in range(16)}, caps)
+        assert len(domain.snapshot()) == 16
+        # Owners 8-15 are descheduled and hold lines: a dead-owner call.
+        dead_before = domain.occupancy_of(8)
+        domain.relax({gid: 400_000.0 + gid for gid in range(8)}, caps)
+        assert domain.occupancy_of(8) < dead_before
+
+    @pytest.mark.parametrize(
+        "pressures, caps, active",
+        [
+            # Owner 0's share passes its cap: a second round.
+            ({0: 500.0, 1: 500.0}, {0: 10.0, 1: 4_000.0}, None),
+            # A share exactly at its cap saturates too.
+            ({0: 500.0, 1: 500.0}, {0: 500.0}, None),
+            # A zero pressure is waterfill's filter at work.
+            ({0: 500.0, 1: 0.0, 2: 500.0}, {}, None),
+            # A zero cap likewise.
+            ({0: 500.0, 1: 500.0, 2: 500.0}, {1: 0.0}, None),
+            # An explicit active list walks the general order.
+            ({0: 500.0, 1: 500.0}, {}, [0, 1]),
+        ],
+    )
+    def test_other_calls_take_the_rounds_path(
+        self, no_waterfill, pressures, caps, active
+    ):
+        domain = LlcOccupancyDomain(1_000)
+        with pytest.raises(RuntimeError, match="waterfill_allocation reached"):
+            domain.relax(pressures, caps, active)
+
+    def test_dead_owner_shape_takes_the_fast_path_bitwise(self, no_waterfill):
+        live = LlcOccupancyDomain(327_680)
+        reference = LlcOccupancyDomain(327_680)
+        caps = {gid: 60_000.0 + 1_000.0 * gid for gid in range(16)}
+        dead_owner_calls = 0
+        for step in range(200):
+            pressures = _zigzag_pressures(step)
+            if not live.snapshot().keys() <= pressures.keys():
+                dead_owner_calls += 1
+            live.relax(pressures, caps)
+            _reference_relax(reference, pressures, caps)
+            assert _domain_bits(live) == _domain_bits(reference)
+        # Only the first five calls, before anyone was descheduled, do not.
+        assert dead_owner_calls == 195
+
+    @pytest.mark.parametrize(
+        "owners",
+        [[9, 2, 14, 0, 5], ["vm9", "vm2", "vm14", "vm0", "vm5"]],
+    )
+    def test_fresh_owners_join_in_sorted_order(self, no_waterfill, owners):
+        live = LlcOccupancyDomain(2_000)
+        reference = LlcOccupancyDomain(2_000)
+        first, second = owners[:3], owners[3:]
+        # The second call names its fresh owners first and in reverse.
+        for pressures in (
+            {owner: 100.0 for owner in first},
+            {owner: 50.0 for owner in second[::-1] + first},
+        ):
+            live.relax(pressures, {})
+            _reference_relax(reference, pressures, {})
+            assert _domain_bits(live) == _domain_bits(reference)
+        assert list(live.snapshot()) == sorted(first) + sorted(second)

@@ -209,6 +209,23 @@ def test_kyoto_engine_quota_cap_invariant_runs():
     assert engine.invariants.evaluated("quota-cap") == 1
 
 
+def test_kyoto_engine_contract_details_built_on_violation():
+    # The detail strings are formatted only when a check fails; a failing
+    # check must still carry them.
+    system, vm = _system_with_vm()
+    engine = KyotoEngine(system)
+    engine.register_vm(vm)
+    account = engine.accounts[vm.vm_id]
+    account.refill = lambda ticks: None
+    account.quota = account.quota_max * 2.0
+    with pytest.raises(ContractViolation, match="exceeds cap"):
+        engine.on_accounting(0)
+    engine._sample_or_estimate = lambda vm: -1.0
+    system.run_ticks(1)
+    with pytest.raises(ContractViolation, match=f"returned -1.0 for {vm.name}"):
+        engine.on_tick_end(0)
+
+
 def test_pollution_account_refill_invariant():
     account = PollutionAccount(llc_cap=1000.0)
     account.refill(ticks=100)  # saturates at quota_max, must not raise

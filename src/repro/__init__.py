@@ -34,65 +34,41 @@ Quickstart::
         llc_cap=250_000, pinned_cores=[1]))
     system.run_msec(1_000)
     print(sensitive.ipc, system.scheduler.kyoto.punishments(disruptor))
+
+The names below resolve on first access (:mod:`repro.lazy`), so
+``import repro.core.ks4xen`` loads the simulator and nothing else.
 """
 
-from .analysis import (
-    degradation_percent,
-    kendall_tau,
-    normalized_performance,
-    slowdown_percent,
-)
-from .core import (
-    DirectPmcMonitor,
-    KS4Linux,
-    KS4Xen,
-    KyotoEngine,
-    McSimReplayMonitor,
-    MonitorError,
-    PollutionAccount,
-    ResilientMonitor,
-    SocketDedicationSampler,
-    llc_cap_act,
-)
-from .faults import FaultPlan, FaultSpec
-from .hardware import MachineSpec, numa_machine, paper_machine
-from .hypervisor import VCpu, VirtualMachine, VirtualizedSystem, VmConfig
-from .pisces import KS4Pisces, PiscesCoKernel
-from .schedulers import CfsScheduler, CreditScheduler
-from .workloads import application_workload, micro_workload, vm_workload
+from repro.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CfsScheduler",
-    "CreditScheduler",
-    "DirectPmcMonitor",
-    "FaultPlan",
-    "FaultSpec",
-    "KS4Linux",
-    "KS4Pisces",
-    "KS4Xen",
-    "KyotoEngine",
-    "MachineSpec",
-    "McSimReplayMonitor",
-    "MonitorError",
-    "PiscesCoKernel",
-    "PollutionAccount",
-    "ResilientMonitor",
-    "SocketDedicationSampler",
-    "VCpu",
-    "VirtualMachine",
-    "VirtualizedSystem",
-    "VmConfig",
-    "application_workload",
-    "degradation_percent",
-    "kendall_tau",
-    "llc_cap_act",
-    "micro_workload",
-    "normalized_performance",
-    "numa_machine",
-    "paper_machine",
-    "slowdown_percent",
-    "vm_workload",
-    "__version__",
-]
+_EXPORTS = {
+    "analysis": (
+        "degradation_percent",
+        "kendall_tau",
+        "normalized_performance",
+        "slowdown_percent",
+    ),
+    "core": (
+        "DirectPmcMonitor",
+        "KS4Linux",
+        "KS4Xen",
+        "KyotoEngine",
+        "McSimReplayMonitor",
+        "MonitorError",
+        "PollutionAccount",
+        "ResilientMonitor",
+        "SocketDedicationSampler",
+        "llc_cap_act",
+    ),
+    "faults": ("FaultPlan", "FaultSpec"),
+    "hardware": ("MachineSpec", "numa_machine", "paper_machine"),
+    "hypervisor": ("VCpu", "VirtualMachine", "VirtualizedSystem", "VmConfig"),
+    "pisces": ("KS4Pisces", "PiscesCoKernel"),
+    "schedulers": ("CfsScheduler", "CreditScheduler"),
+    "workloads": ("application_workload", "micro_workload", "vm_workload"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
+__all__.append("__version__")

@@ -1,65 +1,42 @@
 """Cache simulation: faithful set-associative caches and the analytical
-shared-LLC occupancy/contention model."""
+shared-LLC occupancy/contention model.
 
-from .hierarchy import CacheHierarchy, HierarchyAccess, ServiceLevel
-from .occupancy import InsertionOutcome, LlcOccupancyDomain
-from .prefetch import (
-    NextLinePrefetcher,
-    PrefetchStats,
-    Prefetcher,
-    PrefetchingCache,
-    StridePrefetcher,
-)
-from .perfmodel import (
-    CacheBehavior,
-    StepResult,
-    cycles_per_instruction,
-    execute_step,
-    hit_probability,
-    solo_ipc,
-)
-from .replacement import (
-    BipPolicy,
-    DipPolicy,
-    LruPolicy,
-    ProtectingDistancePolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    SetState,
-    make_policy,
-)
-from .setassoc import AccessResult, CacheLine, NO_OWNER, SetAssociativeCache
-from .stats import AccessStats, CacheStats
+Every name below is importable from this package; its submodule is
+imported on first access (:mod:`repro.lazy`).
+"""
 
-__all__ = [
-    "AccessResult",
-    "AccessStats",
-    "BipPolicy",
-    "CacheBehavior",
-    "CacheHierarchy",
-    "CacheLine",
-    "CacheStats",
-    "DipPolicy",
-    "HierarchyAccess",
-    "InsertionOutcome",
-    "LlcOccupancyDomain",
-    "LruPolicy",
-    "NO_OWNER",
-    "NextLinePrefetcher",
-    "PrefetchStats",
-    "Prefetcher",
-    "PrefetchingCache",
-    "StridePrefetcher",
-    "ProtectingDistancePolicy",
-    "RandomPolicy",
-    "ReplacementPolicy",
-    "ServiceLevel",
-    "SetAssociativeCache",
-    "SetState",
-    "StepResult",
-    "cycles_per_instruction",
-    "execute_step",
-    "hit_probability",
-    "make_policy",
-    "solo_ipc",
-]
+from repro.lazy import lazy_exports
+
+_EXPORTS = {
+    "hierarchy": ("CacheHierarchy", "HierarchyAccess", "ServiceLevel"),
+    "occupancy": ("InsertionOutcome", "LlcOccupancyDomain"),
+    "perfmodel": (
+        "CacheBehavior",
+        "StepResult",
+        "cycles_per_instruction",
+        "execute_step",
+        "hit_probability",
+        "solo_ipc",
+    ),
+    "prefetch": (
+        "NextLinePrefetcher",
+        "PrefetchStats",
+        "Prefetcher",
+        "PrefetchingCache",
+        "StridePrefetcher",
+    ),
+    "replacement": (
+        "BipPolicy",
+        "DipPolicy",
+        "LruPolicy",
+        "ProtectingDistancePolicy",
+        "RandomPolicy",
+        "ReplacementPolicy",
+        "SetState",
+        "make_policy",
+    ),
+    "setassoc": ("AccessResult", "CacheLine", "NO_OWNER", "SetAssociativeCache"),
+    "stats": ("AccessStats", "CacheStats"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

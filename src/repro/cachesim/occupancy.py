@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from repro.lint.contracts import check as contract_check
+from repro.contracts import check as contract_check
 
 
 @dataclass

@@ -1,59 +1,39 @@
 """The Kyoto contribution: pollution permits, equation 1, monitoring, and
-the KS4Xen / KS4Linux scheduler extensions."""
+the KS4Xen / KS4Linux scheduler extensions.
 
-from .billing import Invoice, PollutionBiller, PricingPlan
-from .engine import KyotoEngine
-from .equation import llc_cap_act, llcm_indicator
-from .instances import (
-    CATALOG,
-    InstanceType,
-    LLC_CAP_PER_MEM_RATIO,
-    catalog_by_family,
-    instance,
-    llc_cap_for,
-)
-from .ks4linux import KS4Linux
-from .ks4rtds import KS4RTDS
-from .memguard import BandwidthBudget, MemGuardScheduler
-from .ks4xen import KS4Xen
-from .monitor import (
-    DirectPmcMonitor,
-    IsolationPolicy,
-    McSimReplayMonitor,
-    MonitorError,
-    PollutionMonitor,
-    SocketDedicationMonitor,
-    SocketDedicationSampler,
-)
-from .pollution import PollutionAccount
-from .resilient import CircuitBreaker, ResilientMonitor
+Every name below is importable from this package; its submodule is
+imported on first access (:mod:`repro.lazy`).
+"""
 
-__all__ = [
-    "BandwidthBudget",
-    "CATALOG",
-    "CircuitBreaker",
-    "DirectPmcMonitor",
-    "Invoice",
-    "MemGuardScheduler",
-    "MonitorError",
-    "PollutionBiller",
-    "PricingPlan",
-    "InstanceType",
-    "IsolationPolicy",
-    "KS4Linux",
-    "KS4RTDS",
-    "KS4Xen",
-    "KyotoEngine",
-    "LLC_CAP_PER_MEM_RATIO",
-    "McSimReplayMonitor",
-    "PollutionAccount",
-    "PollutionMonitor",
-    "ResilientMonitor",
-    "SocketDedicationMonitor",
-    "SocketDedicationSampler",
-    "catalog_by_family",
-    "instance",
-    "llc_cap_act",
-    "llc_cap_for",
-    "llcm_indicator",
-]
+from repro.lazy import lazy_exports
+
+_EXPORTS = {
+    "billing": ("Invoice", "PollutionBiller", "PricingPlan"),
+    "engine": ("KyotoEngine",),
+    "equation": ("llc_cap_act", "llcm_indicator"),
+    "instances": (
+        "CATALOG",
+        "InstanceType",
+        "LLC_CAP_PER_MEM_RATIO",
+        "catalog_by_family",
+        "instance",
+        "llc_cap_for",
+    ),
+    "ks4linux": ("KS4Linux",),
+    "ks4rtds": ("KS4RTDS",),
+    "ks4xen": ("KS4Xen",),
+    "memguard": ("BandwidthBudget", "MemGuardScheduler"),
+    "monitor": (
+        "DirectPmcMonitor",
+        "IsolationPolicy",
+        "McSimReplayMonitor",
+        "MonitorError",
+        "PollutionMonitor",
+        "SocketDedicationMonitor",
+        "SocketDedicationSampler",
+    ),
+    "pollution": ("PollutionAccount",),
+    "resilient": ("CircuitBreaker", "ResilientMonitor"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional, TYPE_CHECKING
 
-from repro.lint.contracts import InvariantChecker, contracts_enabled
+from repro.contracts import InvariantChecker, contracts_enabled
 from repro.telemetry import MetricsRecorder, current_recorder
 
 from .monitor import DirectPmcMonitor, MonitorError, PollutionMonitor

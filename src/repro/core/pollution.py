@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.lint.contracts import invariant
+from repro.contracts import invariant
 from repro.telemetry import NULL_RECORDER, MetricsRecorder
 
 

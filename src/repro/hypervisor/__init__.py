@@ -1,17 +1,17 @@
 """Hypervisor layer: VMs, vCPUs, the virtualized machine simulation and
-vCPU migration policies."""
+vCPU migration policies.
 
-from .migration import PeriodicMigrator
-from .system import HypervisorError, TickObserver, VirtualizedSystem
-from .vcpu import VCpu
-from .vm import VirtualMachine, VmConfig
+Every name below is importable from this package; its submodule is
+imported on first access (:mod:`repro.lazy`).
+"""
 
-__all__ = [
-    "HypervisorError",
-    "PeriodicMigrator",
-    "TickObserver",
-    "VCpu",
-    "VirtualMachine",
-    "VirtualizedSystem",
-    "VmConfig",
-]
+from repro.lazy import lazy_exports
+
+_EXPORTS = {
+    "migration": ("PeriodicMigrator",),
+    "system": ("HypervisorError", "TickObserver", "VirtualizedSystem"),
+    "vcpu": ("VCpu",),
+    "vm": ("VirtualMachine", "VmConfig"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -17,9 +17,7 @@ programmatically::
     assert exit_code(findings) == 0
 """
 
-from .analyzer import analyze_paths
-from .baseline import Baseline, BaselineError
-from .contracts import (
+from repro.contracts import (
     ContractViolation,
     InvariantChecker,
     check,
@@ -27,6 +25,9 @@ from .contracts import (
     invariant,
     set_contracts_enabled,
 )
+
+from .analyzer import analyze_paths
+from .baseline import Baseline, BaselineError
 from .facts import FACTS_VERSION, ModuleFacts, Program, extract_facts
 from .report import exit_code, failing_findings, format_json, format_text
 from .rules import (

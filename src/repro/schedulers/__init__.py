@@ -1,20 +1,17 @@
 """vCPU schedulers: the Xen credit scheduler (XCS) and a CFS-style fair
-scheduler, both extensible by the Kyoto pollution-permit layer."""
+scheduler, both extensible by the Kyoto pollution-permit layer.
 
-from .base import Scheduler
-from .cfs import CfsAccount, CfsScheduler, NICE0_WEIGHT
-from .credit import CREDITS_PER_TICK, CreditAccount, CreditScheduler, Priority
-from .rtds import RtServer, RtdsScheduler
+Every name below is importable from this package; its submodule is
+imported on first access (:mod:`repro.lazy`).
+"""
 
-__all__ = [
-    "CREDITS_PER_TICK",
-    "CfsAccount",
-    "CfsScheduler",
-    "CreditAccount",
-    "CreditScheduler",
-    "NICE0_WEIGHT",
-    "Priority",
-    "RtServer",
-    "RtdsScheduler",
-    "Scheduler",
-]
+from repro.lazy import lazy_exports
+
+_EXPORTS = {
+    "base": ("Scheduler",),
+    "cfs": ("CfsAccount", "CfsScheduler", "NICE0_WEIGHT"),
+    "credit": ("CREDITS_PER_TICK", "CreditAccount", "CreditScheduler", "Priority"),
+    "rtds": ("RtServer", "RtdsScheduler"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

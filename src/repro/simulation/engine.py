@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.lint.contracts import InvariantChecker
+from repro.contracts import InvariantChecker
 from repro.telemetry import MetricsRecorder, current_recorder
 
 from .clock import Clock

@@ -1,66 +1,43 @@
 """Workloads: calibrated SPEC CPU2006 / blockie profiles, the pointer-chase
-micro-benchmark and synthetic address-trace generation."""
+micro-benchmark and synthetic address-trace generation.
 
-from .base import LINE_BYTES, Workload, WorkloadProgress, bytes_to_lines
-from .micro import (
-    CacheFitCategory,
-    MicroVmPair,
-    category_pairs,
-    classify_working_set,
-    micro_workload,
-    pointer_chase_behavior,
-)
-from .interactive import InteractiveWorkload, web_tier_workload
-from .phased import Phase, PhasedWorkload, bursty_workload
-from .profiles import (
-    DISRUPTIVE_APPS,
-    FIG4_APPLICATIONS,
-    PAPER_ORDER_EQUATION1,
-    PAPER_ORDER_LLCM,
-    PAPER_ORDER_REAL,
-    SENSITIVE_APPS,
-    application_behavior,
-    application_names,
-    application_workload,
-    vm_application,
-    vm_workload,
-)
-from .tracegen import (
-    TraceConfig,
-    generate_trace,
-    pointer_chain_addresses,
-    walk_pointer_chain,
-)
+Every name below is importable from this package; its submodule is
+imported on first access (:mod:`repro.lazy`).
+"""
 
-__all__ = [
-    "CacheFitCategory",
-    "DISRUPTIVE_APPS",
-    "FIG4_APPLICATIONS",
-    "InteractiveWorkload",
-    "web_tier_workload",
-    "LINE_BYTES",
-    "MicroVmPair",
-    "PAPER_ORDER_EQUATION1",
-    "Phase",
-    "PhasedWorkload",
-    "bursty_workload",
-    "PAPER_ORDER_LLCM",
-    "PAPER_ORDER_REAL",
-    "SENSITIVE_APPS",
-    "TraceConfig",
-    "Workload",
-    "WorkloadProgress",
-    "application_behavior",
-    "application_names",
-    "application_workload",
-    "bytes_to_lines",
-    "category_pairs",
-    "classify_working_set",
-    "generate_trace",
-    "micro_workload",
-    "pointer_chain_addresses",
-    "pointer_chase_behavior",
-    "vm_application",
-    "vm_workload",
-    "walk_pointer_chain",
-]
+from repro.lazy import lazy_exports
+
+_EXPORTS = {
+    "base": ("LINE_BYTES", "Workload", "WorkloadProgress", "bytes_to_lines"),
+    "interactive": ("InteractiveWorkload", "web_tier_workload"),
+    "micro": (
+        "CacheFitCategory",
+        "MicroVmPair",
+        "category_pairs",
+        "classify_working_set",
+        "micro_workload",
+        "pointer_chase_behavior",
+    ),
+    "phased": ("Phase", "PhasedWorkload", "bursty_workload"),
+    "profiles": (
+        "DISRUPTIVE_APPS",
+        "FIG4_APPLICATIONS",
+        "PAPER_ORDER_EQUATION1",
+        "PAPER_ORDER_LLCM",
+        "PAPER_ORDER_REAL",
+        "SENSITIVE_APPS",
+        "application_behavior",
+        "application_names",
+        "application_workload",
+        "vm_application",
+        "vm_workload",
+    ),
+    "tracegen": (
+        "TraceConfig",
+        "generate_trace",
+        "pointer_chain_addresses",
+        "walk_pointer_chain",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -15,8 +15,8 @@ from repro.core.pollution import PollutionAccount
 from repro.hardware.specs import paper_machine
 from repro.hypervisor.system import VirtualizedSystem
 from repro.hypervisor.vm import VmConfig
-from repro.lint import contracts
-from repro.lint.contracts import (
+from repro import contracts
+from repro.contracts import (
     ContractViolation,
     InvariantChecker,
     check,
@@ -45,6 +45,32 @@ def test_env_var_override(monkeypatch):
     assert not contracts_enabled()
     monkeypatch.setenv("KYOTO_CONTRACTS", "1")
     assert contracts_enabled()
+
+
+@pytest.mark.parametrize(
+    "value, enabled",
+    [
+        ("0", False),
+        ("", False),
+        (" ", False),
+        ("false", False),
+        ("FALSE", False),
+        ("False", False),
+        ("no", False),
+        ("No", False),
+        ("off", False),
+        ("Off", False),
+        (" OFF ", False),
+        ("1", True),
+        ("true", True),
+        ("TRUE", True),
+        ("yes", True),
+        ("On", True),
+    ],
+)
+def test_env_var_parsing_ignores_case_and_whitespace(monkeypatch, value, enabled):
+    monkeypatch.setenv("KYOTO_CONTRACTS", value)
+    assert contracts_enabled() is enabled
 
 
 def test_programmatic_override_wins(monkeypatch):

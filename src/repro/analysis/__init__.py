@@ -1,75 +1,50 @@
 """Analysis: Kendall's tau, degradation metrics, aggressiveness campaigns,
 downsampling and plain-text reporting.
 
+Every name below is importable from this package; its submodule is
+imported on first access (:mod:`repro.lazy`), so ``repro.analysis.kendall``
+does not pull the scenario layer in through ``aggressiveness``.
+
 The ``repro report`` engine lives in :mod:`repro.analysis.report` and is
-*not* re-exported here: it imports the experiments layer (which imports
-this package), so it binds late — the CLI imports it directly.
+*not* re-exported here: it imports the experiments layer, so the CLI
+imports it directly.
 """
 
-from .aggressiveness import (
-    AggressivenessReport,
-    CampaignConfig,
-    OrderingComparison,
-    SoloProfile,
-    compare_orderings,
-    run_campaign,
-    run_pair_degradation,
-    run_solo,
-)
-from .calibration import (
-    CalibrationEntry,
-    CalibrationReport,
-    SOLO_TARGETS,
-    format_calibration,
-    run_calibration,
-)
-from .downsample import (
-    DownsampleError,
-    downsample_lttb,
-    downsample_stride_mean,
-)
-from .kendall import kendall_tau, ranking_from_scores
-from .metrics import (
-    SeriesStats,
-    degradation_percent,
-    normalized_performance,
-    slowdown_percent,
-)
-from .reporting import format_series, format_table
-from .statistics import (
-    LinearFit,
-    linear_fit,
-    mean_confidence_interval,
-    student_t_critical,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "AggressivenessReport",
-    "CalibrationEntry",
-    "CalibrationReport",
-    "CampaignConfig",
-    "DownsampleError",
-    "LinearFit",
-    "SOLO_TARGETS",
-    "downsample_lttb",
-    "downsample_stride_mean",
-    "format_calibration",
-    "linear_fit",
-    "mean_confidence_interval",
-    "run_calibration",
-    "student_t_critical",
-    "OrderingComparison",
-    "SeriesStats",
-    "SoloProfile",
-    "compare_orderings",
-    "degradation_percent",
-    "format_series",
-    "format_table",
-    "kendall_tau",
-    "normalized_performance",
-    "ranking_from_scores",
-    "run_campaign",
-    "run_pair_degradation",
-    "run_solo",
-    "slowdown_percent",
-]
+_EXPORTS = {
+    "aggressiveness": (
+        "AggressivenessReport",
+        "CampaignConfig",
+        "OrderingComparison",
+        "SoloProfile",
+        "compare_orderings",
+        "run_campaign",
+        "run_pair_degradation",
+        "run_solo",
+    ),
+    "calibration": (
+        "CalibrationEntry",
+        "CalibrationReport",
+        "SOLO_TARGETS",
+        "format_calibration",
+        "run_calibration",
+    ),
+    "downsample": ("DownsampleError", "downsample_lttb", "downsample_stride_mean"),
+    "kendall": ("kendall_tau", "ranking_from_scores"),
+    "metrics": (
+        "SeriesStats",
+        "degradation_percent",
+        "normalized_performance",
+        "slowdown_percent",
+    ),
+    "reporting": ("format_series", "format_table"),
+    "statistics": (
+        "LinearFit",
+        "linear_fit",
+        "mean_confidence_interval",
+        "student_t_critical",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -53,27 +53,24 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-from typing import Callable, Dict, List, Optional, Tuple
-
-from repro.experiments import campaign as campaign_mod
-from repro.experiments.registry import (
-    REGISTRY,
-    SCENARIO_SUFFIXES,
-    expand_names,
-    experiment_names,
-    scenario_points,
-    scenario_spec_of,
-)
-from repro.scenario import ScenarioError, dumps_json, dumps_toml
+from typing import Any, List, Optional
 
 #: Directory ``repro scenario list`` scans when none is given.
 DEFAULT_SCENARIO_DIR = "examples/scenarios"
 
-#: name -> (description, runner) — kept as the CLI's legacy public
-#: surface; the canonical table is repro.experiments.registry.REGISTRY.
-EXPERIMENTS: Dict[str, Tuple[str, Callable[[], str]]] = {
-    spec.name: (spec.description, spec.runner) for spec in REGISTRY.values()
-}
+
+def __getattr__(name: str) -> Any:
+    # ``EXPERIMENTS`` (name -> (description, runner)) is kept as the CLI's
+    # legacy public surface; the canonical table is
+    # repro.experiments.registry.REGISTRY.  It is built on first access so
+    # that importing the CLI loads no experiment module.
+    if name != "EXPERIMENTS":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.experiments.registry import REGISTRY
+
+    table = {spec.name: (spec.description, spec.runner) for spec in REGISTRY.values()}
+    globals()[name] = table
+    return table
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -499,12 +496,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def list_experiments() -> str:
-    width = max(len(name) for name in EXPERIMENTS)
+    from repro.experiments.registry import REGISTRY, experiment_names
+
+    width = max(len(name) for name in REGISTRY)
     lines = ["available experiments:"]
-    for name, (description, __) in EXPERIMENTS.items():
-        lines.append(f"  {name:{width}s} {description}")
+    for spec in REGISTRY.values():
+        lines.append(f"  {spec.name:{width}s} {spec.description}")
     in_all = set(experiment_names())
-    extras = ", ".join(name for name in EXPERIMENTS if name not in in_all)
+    extras = ", ".join(name for name in REGISTRY if name not in in_all)
     lines.append(f"  {'all':{width}s} run everything above except {extras}")
     return "\n".join(lines)
 
@@ -526,13 +525,16 @@ def run_experiments(
     per-experiment watchdog; ``stream_dir`` spools full-resolution
     telemetry streams per experiment.
     """
+    from repro.experiments.campaign import run_campaign
+    from repro.experiments.registry import expand_names
+
     known, unknown = expand_names(names)
     if unknown:
         out.write(
             f"unknown experiment(s): {', '.join(unknown)}\n{list_experiments()}\n"
         )
         return 2
-    return campaign_mod.run_campaign(
+    return run_campaign(
         known,
         jobs=jobs,
         json_dir=json_dir,
@@ -543,6 +545,8 @@ def run_experiments(
 
 
 def _scenario_files_in(directory: str) -> List[str]:
+    from repro.experiments.registry import SCENARIO_SUFFIXES
+
     root = pathlib.Path(directory)
     return sorted(
         str(path)
@@ -553,6 +557,9 @@ def _scenario_files_in(directory: str) -> List[str]:
 
 def list_scenarios(directory: str, out=sys.stdout) -> int:
     """The ``repro scenario list`` subcommand."""
+    from repro.experiments.registry import scenario_points
+    from repro.scenario import ScenarioError
+
     if not pathlib.Path(directory).is_dir():
         sys.stderr.write(f"repro scenario: error: no such directory: {directory}\n")
         return 2
@@ -576,6 +583,9 @@ def list_scenarios(directory: str, out=sys.stdout) -> int:
 
 def validate_scenarios(files: List[str], out=sys.stdout) -> int:
     """The ``repro scenario validate`` subcommand (exit 2 on any error)."""
+    from repro.experiments.registry import scenario_points
+    from repro.scenario import ScenarioError
+
     failed = False
     for path in files:
         try:
@@ -596,6 +606,9 @@ def validate_scenarios(files: List[str], out=sys.stdout) -> int:
 
 def show_scenario(token: str, fmt: str, out=sys.stdout) -> int:
     """The ``repro scenario show`` subcommand: canonical serialization."""
+    from repro.experiments.registry import scenario_spec_of
+    from repro.scenario import ScenarioError, dumps_json, dumps_toml
+
     try:
         spec = scenario_spec_of(token)
     except ScenarioError as exc:
@@ -660,7 +673,7 @@ def run_serve(args, out=sys.stdout) -> int:
     scenario leaves it off).  Exit codes: 0 ok, 2 usage errors (bad
     file, no service section, unusable stream directory).
     """
-    from repro.scenario import load_scenario
+    from repro.scenario import ScenarioError, load_scenario
     from repro.scenario.materialize import materialize
     from repro.telemetry import (
         MetricsRecorder,
@@ -903,7 +916,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "herd":
         return run_herd_command(args)
     if args.command == "campaign":
-        return campaign_mod.summarize_campaign(args.artifact_dir, output=args.output)
+        from repro.experiments.campaign import summarize_campaign
+
+        return summarize_campaign(args.artifact_dir, output=args.output)
     return run_experiments(
         args.experiments,
         jobs=args.jobs,

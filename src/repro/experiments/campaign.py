@@ -31,13 +31,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import sys
 import traceback
 from typing import IO, TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.scenario import ScenarioError
 from repro.telemetry import (
     MetricsRecorder,
     StreamError,
@@ -50,6 +48,8 @@ from repro.util import atomic_write_json, atomic_write_text, elapsed_since, wall
 from .registry import REGISTRY, expand_names, is_scenario_token, resolve
 
 if TYPE_CHECKING:  # pragma: no cover
+    import multiprocessing.connection
+
     from repro.herd.pool import WorkerOutcome
 
 #: Schema identifier of one per-experiment artifact file.
@@ -105,6 +105,8 @@ def run_one(name: str, stream_dir: Optional[str] = None) -> Dict[str, Any]:
     stream directory — streams are never appended to) fails the
     experiment instead of crashing the batch.
     """
+    from repro.scenario import ScenarioError
+
     start = wall_clock()
     spec = None
     resolve_error: Optional[Tuple[str, str]] = None
@@ -224,6 +226,8 @@ def _supervised_artifact(
     """
     if outcome.kind == "result" and outcome.result is not None:
         return outcome.result
+    from repro.scenario import ScenarioError
+
     try:
         spec = resolve(name)
         display, description = spec.name, spec.description

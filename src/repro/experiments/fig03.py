@@ -17,6 +17,7 @@ from typing import Dict, List, Sequence
 
 from repro.analysis.metrics import degradation_percent
 from repro.analysis.reporting import format_table
+from repro.analysis.statistics import linear_fit
 from repro.scenario import ScenarioSpec, VmSpec, WorkloadSpec, materialize
 from repro.workloads.profiles import SENSITIVE_APPS, application_workload
 
@@ -81,8 +82,6 @@ def is_monotone_increasing(series: Sequence[float], tolerance: float = 1.0) -> b
 
 def linearity_r_squared(result: Fig03Result, vsen: str) -> float:
     """R² of the degradation-vs-cap series (the paper claims linearity)."""
-    from repro.analysis.statistics import linear_fit
-
     return linear_fit(
         [float(c) for c in result.caps], result.degradation[vsen]
     ).r_squared

@@ -22,21 +22,12 @@ pickle them.
 from __future__ import annotations
 
 import functools
+import importlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
-from repro.scenario import (
-    ScenarioError,
-    ScenarioSpec,
-    expand_document,
-    parse_scenario_file,
-    run_spec,
-)
-
-from . import (
-    ablations, chaos, fig01, fig02, fig03, fig04, fig05, fig06,
-    fig07, fig08, fig09, fig10, fig11, fig12, tables,
-)
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.scenario import ScenarioSpec
 
 #: File suffixes that mark a name as a scenario-file token.
 SCENARIO_SUFFIXES = (".toml", ".json")
@@ -44,109 +35,155 @@ SCENARIO_SUFFIXES = (".toml", ".json")
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One runnable experiment: name, description, report producer."""
+    """One runnable experiment: name, description, report producer.
+
+    ``module`` names the driver submodule of :mod:`repro.experiments`
+    the runner imports (``""`` for none); :func:`resolve` imports it, so
+    whoever resolves before running pays the import up front.
+    """
 
     name: str
     description: str
     runner: Callable[[], str]
+    module: str = ""
 
 
 def table1_report() -> str:
+    from . import tables
+
     return tables.format_table1(tables.run_table1())
 
 
 def table2_report() -> str:
+    from . import tables
+
     return tables.format_table2(tables.run_table2())
 
 
 def fig01_report() -> str:
+    from . import fig01
+
     return fig01.format_report(fig01.run())
 
 
 def fig02_report() -> str:
+    from . import fig02
+
     return fig02.format_report(fig02.run())
 
 
 def fig03_report() -> str:
+    from . import fig03
+
     return fig03.format_report(fig03.run())
 
 
 def fig04_report() -> str:
+    from . import fig04
+
     return fig04.format_report(fig04.run())
 
 
 def fig05_report() -> str:
+    from . import fig05
+
     return fig05.format_report(fig05.run())
 
 
 def fig06_report() -> str:
+    from . import fig06
+
     return fig06.format_report(fig06.run())
 
 
 def fig07_report() -> str:
+    from . import fig07
+
     return fig07.format_report(fig07.run())
 
 
 def fig08_report() -> str:
+    from . import fig08
+
     return fig08.format_report(fig08.run())
 
 
 def fig09_report() -> str:
+    from . import fig09
+
     return fig09.format_report(fig09.run())
 
 
 def fig10_report() -> str:
+    from . import fig10
+
     return fig10.format_report(fig10.run())
 
 
 def fig11_report() -> str:
+    from . import fig11
+
     return fig11.format_report(fig11.run())
 
 
 def fig12_report() -> str:
+    from . import fig12
+
     return fig12.format_report(fig12.run())
 
 
 def chaos_report() -> str:
+    from . import chaos
+
     return chaos.format_report(chaos.run())
 
 
 def abl_quota_report() -> str:
+    from . import ablations
+
     return ablations.format_quota(ablations.run_quota())
 
 
 def abl_period_report() -> str:
+    from . import ablations
+
     return ablations.format_period(ablations.run_period())
 
 
 def abl_policy_report() -> str:
+    from . import ablations
+
     return ablations.format_policy(ablations.run_policy())
 
 
 def abl_model_report() -> str:
+    from . import ablations
+
     return ablations.format_model(ablations.run_model())
 
 
 def abl_enforce_report() -> str:
+    from . import ablations
+
     return ablations.format_enforce(ablations.run_enforce())
 
 
 #: Canonical experiment order — the order ``run all`` executes.
 _SPECS: Tuple[ExperimentSpec, ...] = (
-    ExperimentSpec("table1", "experimental machine", table1_report),
-    ExperimentSpec("table2", "experimental VMs", table2_report),
-    ExperimentSpec("fig01", "LLC contention impact matrix", fig01_report),
-    ExperimentSpec("fig02", "LLC misses per tick (v2_rep)", fig02_report),
-    ExperimentSpec("fig03", "the processor is a good lever", fig03_report),
-    ExperimentSpec("fig04", "equation 1 vs LLCM indicators", fig04_report),
-    ExperimentSpec("fig05", "KS4Xen effectiveness", fig05_report),
-    ExperimentSpec("fig06", "KS4Xen scalability", fig06_report),
-    ExperimentSpec("fig07", "Pisces architecture audit", fig07_report),
-    ExperimentSpec("fig08", "Kyoto vs Pisces", fig08_report),
-    ExperimentSpec("fig09", "vCPU migration overhead", fig09_report),
-    ExperimentSpec("fig10", "when isolation can be skipped", fig10_report),
-    ExperimentSpec("fig11", "dedication vs no dedication", fig11_report),
-    ExperimentSpec("fig12", "KS4Xen overhead", fig12_report),
+    ExperimentSpec("table1", "experimental machine", table1_report, "tables"),
+    ExperimentSpec("table2", "experimental VMs", table2_report, "tables"),
+    ExperimentSpec("fig01", "LLC contention impact matrix", fig01_report, "fig01"),
+    ExperimentSpec("fig02", "LLC misses per tick (v2_rep)", fig02_report, "fig02"),
+    ExperimentSpec("fig03", "the processor is a good lever", fig03_report, "fig03"),
+    ExperimentSpec("fig04", "equation 1 vs LLCM indicators", fig04_report, "fig04"),
+    ExperimentSpec("fig05", "KS4Xen effectiveness", fig05_report, "fig05"),
+    ExperimentSpec("fig06", "KS4Xen scalability", fig06_report, "fig06"),
+    ExperimentSpec("fig07", "Pisces architecture audit", fig07_report, "fig07"),
+    ExperimentSpec("fig08", "Kyoto vs Pisces", fig08_report, "fig08"),
+    ExperimentSpec("fig09", "vCPU migration overhead", fig09_report, "fig09"),
+    ExperimentSpec("fig10", "when isolation can be skipped", fig10_report, "fig10"),
+    ExperimentSpec("fig11", "dedication vs no dedication", fig11_report, "fig11"),
+    ExperimentSpec("fig12", "KS4Xen overhead", fig12_report, "fig12"),
 )
 
 #: Runnable by name but *not* part of ``run all``: the chaos sweep
@@ -155,23 +192,28 @@ _SPECS: Tuple[ExperimentSpec, ...] = (
 #: ``all`` keeps the paper-reproduction artifact set byte-stable.
 _EXTRA_SPECS: Tuple[ExperimentSpec, ...] = (
     ExperimentSpec(
-        "chaos", "resilient monitoring under fault injection", chaos_report
+        "chaos", "resilient monitoring under fault injection", chaos_report,
+        "chaos",
     ),
     ExperimentSpec(
-        "abl-quota", "ablation: pollution-quota bank size", abl_quota_report
+        "abl-quota", "ablation: pollution-quota bank size", abl_quota_report,
+        "ablations",
     ),
     ExperimentSpec(
-        "abl-period", "ablation: monitoring period", abl_period_report
+        "abl-period", "ablation: monitoring period", abl_period_report,
+        "ablations",
     ),
     ExperimentSpec(
-        "abl-policy", "ablation: replacement policies vs a scan", abl_policy_report
+        "abl-policy", "ablation: replacement policies vs a scan", abl_policy_report,
+        "ablations",
     ),
     ExperimentSpec(
-        "abl-model", "ablation: occupancy model vs set-assoc cache", abl_model_report
+        "abl-model", "ablation: occupancy model vs set-assoc cache", abl_model_report,
+        "ablations",
     ),
     ExperimentSpec(
         "abl-enforce", "ablation: Kyoto vs partitioning and MemGuard",
-        abl_enforce_report,
+        abl_enforce_report, "ablations",
     ),
 )
 
@@ -201,6 +243,8 @@ def scenario_points(path: str) -> List[Tuple[str, ScenarioSpec]]:
     invalid files — every point of a sweep is validated up front, so a
     campaign never discovers a bad grid point halfway through.
     """
+    from repro.scenario import expand_document, parse_scenario_file
+
     points = expand_document(parse_scenario_file(path))
     if len(points) == 1 and points[0][0] is None:
         return [(path, points[0][1])]
@@ -209,6 +253,8 @@ def scenario_points(path: str) -> List[Tuple[str, ScenarioSpec]]:
 
 def scenario_spec_of(token: str) -> ScenarioSpec:
     """The single :class:`ScenarioSpec` a point token denotes."""
+    from repro.scenario import ScenarioError
+
     path, sep, index = token.partition("#")
     points = scenario_points(path)
     if not sep:
@@ -237,6 +283,8 @@ def scenario_spec_of(token: str) -> ScenarioSpec:
 
 def _run_scenario_token(token: str) -> str:
     """Module-level (hence picklable) runner for one scenario token."""
+    from repro.scenario import run_spec
+
     return run_spec(scenario_spec_of(token))
 
 
@@ -248,9 +296,14 @@ def resolve(name: str) -> ExperimentSpec:
     label), so campaign artifacts are named after the scenario, not the
     file path.  Raises ``KeyError`` for unrecognised names and
     :class:`ScenarioError` for unloadable/invalid scenario files.
+    Resolving a registry name imports its driver module, so the import
+    is paid here and the runner's own import finds it loaded.
     """
     if name in REGISTRY:
-        return REGISTRY[name]
+        entry = REGISTRY[name]
+        if entry.module:
+            importlib.import_module(f"{__package__}.{entry.module}")
+        return entry
     if is_scenario_token(name):
         spec = scenario_spec_of(name)
         description = spec.description or f"scenario {name.partition('#')[0]}"
@@ -280,6 +333,8 @@ def expand_names(names: Sequence[str]) -> Tuple[List[str], List[str]]:
         if name == "all":
             requested.extend(experiment_names())
         elif is_scenario_token(name) and "#" not in name:
+            from repro.scenario import ScenarioError
+
             try:
                 requested.extend(token for token, _ in scenario_points(name))
             except ScenarioError:

@@ -12,7 +12,7 @@ no matter where the spec came from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.core.ks4linux import KS4Linux
 from repro.core.ks4rtds import KS4RTDS
@@ -34,21 +34,11 @@ from repro.hardware.specs import MachineSpec, numa_machine, paper_machine
 from repro.hypervisor.migration import PeriodicMigrator
 from repro.hypervisor.system import VirtualizedSystem
 from repro.hypervisor.vm import VirtualMachine, VmConfig
-from repro.mcsim.service import ReplayService
 from repro.schedulers.cfs import CfsScheduler
 from repro.schedulers.credit import CreditScheduler
 from repro.schedulers.rtds import RtdsScheduler
 from repro.pisces.cokernel import PiscesCoKernel
 from repro.pisces.ks4pisces import KS4Pisces
-from repro.service import (
-    AdmissionController,
-    CapacityCapAdmission,
-    ChurnGenerator,
-    NaiveAdmission,
-    PermitBudgetAdmission,
-    ServiceLoop,
-    VmTemplate,
-)
 from repro.workloads.base import Workload
 from repro.workloads.micro import micro_workload
 from repro.workloads.profiles import application_workload
@@ -62,6 +52,9 @@ from .spec import (
     VmSpec,
     WorkloadSpec,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.service import AdmissionController, ServiceLoop
 
 
 @dataclass
@@ -189,6 +182,12 @@ def vm_configs_for(spec: VmSpec, total_cores: int) -> List[VmConfig]:
 
 def admission_for(spec: AdmissionSpec) -> AdmissionController:
     """Construct the admission controller an :class:`AdmissionSpec` asks for."""
+    from repro.service import (
+        CapacityCapAdmission,
+        NaiveAdmission,
+        PermitBudgetAdmission,
+    )
+
     if spec.policy == "naive":
         return NaiveAdmission()
     if spec.policy == "capacity":
@@ -211,6 +210,8 @@ def service_loop_for(
     seed (``service.arrivals``, ``service.lifetimes``,
     ``service.templates``), so a soak run is bit-reproducible.
     """
+    from repro.service import ChurnGenerator, ServiceLoop, VmTemplate
+
     arrivals = service.arrivals
     lifetime = service.lifetime
     churn = ChurnGenerator(
@@ -290,6 +291,8 @@ def _chain_member(
             system, sample_ticks=monitor_spec.sample_ticks
         )
     if member == "replay":
+        from repro.mcsim.service import ReplayService
+
         service: object = ReplayService(
             refresh_every=monitor_spec.replay_refresh_every,
             max_report_age=monitor_spec.replay_max_report_age,

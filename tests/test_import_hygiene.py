@@ -3,6 +3,8 @@
 * A fresh interpreter that imports what the benchmark workloads import
   loads no linter, scenario, analysis, experiment, fault, McSim or Pisces
   module.
+* The figure campaign loads only the drivers it resolves, and the CLI
+  loads no experiment, scenario or simulator module before it dispatches.
 * The lazy packages (:mod:`repro.lazy`) keep every re-export importable
   from the same place, ``import *`` and ``dir()`` included.
 * The quickstart example and the README quickstart still run.
@@ -28,12 +30,16 @@ SRC = REPO / "src"
 #: Packages whose re-exports resolve on first access.
 LAZY_PACKAGES = (
     "repro",
+    "repro.analysis",
     "repro.cachesim",
     "repro.core",
     "repro.hypervisor",
     "repro.schedulers",
     "repro.workloads",
 )
+
+#: Packages that import a submodule on first attribute access.
+LAZY_SUBMODULE_PACKAGES = ("repro.experiments",)
 
 #: What the ``dense_fleet`` and ``churn_stream`` benchmark workloads import.
 SIMULATOR_MODULES = (
@@ -55,6 +61,18 @@ FORBIDDEN = (
 )
 
 
+#: Layers no paper figure or table uses.
+CAMPAIGN_FORBIDDEN = (
+    "repro.mcsim",
+    "repro.service",
+    "repro.partitioning",
+    "repro.herd",
+    "repro.lint",
+    "repro.experiments.chaos",
+    "repro.experiments.ablations",
+)
+
+
 def _python(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC)
@@ -72,20 +90,75 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_simulator_imports_no_tooling_or_drivers():
-    script = (
-        "import json, sys\n"
-        + "".join(f"import {name}\n" for name in SIMULATOR_MODULES)
-        + "print(json.dumps(sorted(sys.modules)))\n"
+    script = "".join(f"import {name}\n" for name in SIMULATOR_MODULES)
+    assert _under(_modules_after(script), FORBIDDEN) == []
+
+
+def _modules_after(script: str) -> list:
+    """``sys.modules`` of a fresh interpreter after ``script``, sorted."""
+    completed = _python(
+        "-c", script + "import json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     )
-    completed = _python("-c", script)
     assert completed.returncode == 0, completed.stderr
-    loaded = json.loads(completed.stdout)
-    leaked = [
+    return json.loads(completed.stdout.splitlines()[-1])
+
+
+def _under(loaded: list, roots: tuple) -> list:
+    return [
         name
         for name in loaded
-        if any(name == root or name.startswith(root + ".") for root in FORBIDDEN)
+        if any(name == root or name.startswith(root + ".") for root in roots)
     ]
-    assert leaked == []
+
+
+def test_figure_campaign_loads_only_its_drivers():
+    resolve_all = (
+        "from repro.experiments import campaign\n"
+        "from repro.experiments.registry import expand_names, resolve\n"
+        "names, unknown = expand_names(['all'])\n"
+        "assert not unknown and names\n"
+        "for name in names:\n"
+        "    resolve(name)\n"
+    )
+    loaded = _modules_after(resolve_all)
+    assert _under(loaded, CAMPAIGN_FORBIDDEN) == []
+    assert "multiprocessing" not in loaded
+    assert {"repro.experiments.fig01", "repro.experiments.tables"} <= set(loaded)
+
+    loaded = _modules_after(resolve_all + "resolve('chaos')\nresolve('abl-enforce')\n")
+    assert {
+        "repro.experiments.chaos",
+        "repro.experiments.ablations",
+        "repro.partitioning",
+        "repro.core.memguard",
+    } <= set(loaded)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [None, ["--help"], ["list"], ["lint", "src/repro/lazy.py"]],
+    ids=["import", "help", "list", "lint"],
+)
+def test_cli_loads_no_experiment_or_simulator_module(argv):
+    script = "import repro.cli\n"
+    if argv is not None:
+        script += (
+            "import contextlib, io\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            f"        repro.cli.main({argv!r})\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+        )
+    loaded = _modules_after(script)
+    assert _under(loaded, ("repro.scenario", "repro.hypervisor")) == []
+    assert [name for name in loaded if name.startswith("repro.experiments.fig")] == []
+
+
+def test_kendall_tau_loads_no_scenario_module():
+    loaded = _modules_after("from repro import kendall_tau\n")
+    assert "repro.analysis.kendall" in loaded
+    assert _under(loaded, ("repro.scenario",)) == []
 
 
 def _defines_getattr(init: Path) -> bool:
@@ -108,7 +181,7 @@ def test_lazy_package_list_is_complete():
         for init in (SRC / "repro").rglob("__init__.py")
         if _defines_getattr(init)
     )
-    assert found == sorted(LAZY_PACKAGES)
+    assert found == sorted(LAZY_PACKAGES + LAZY_SUBMODULE_PACKAGES)
 
 
 # -- lazy exports -----------------------------------------------------------------
@@ -156,6 +229,23 @@ def test_no_export_shadows_a_submodule(package):
     module = importlib.import_module(package)
     submodules = {info.name for info in pkgutil.iter_modules(module.__path__)}
     assert submodules & set(module.__all__) == set()
+
+
+@pytest.mark.parametrize("package", LAZY_SUBMODULE_PACKAGES)
+def test_attribute_access_imports_the_submodule(package):
+    module = importlib.import_module(package)
+    for name in module.__all__:
+        assert getattr(module, name) is importlib.import_module(f"{package}.{name}")
+    assert set(module.__all__) <= set(dir(module))
+    with pytest.raises(AttributeError, match=re.escape(repr(package))):
+        getattr(module, "no_such_submodule")
+
+
+def test_experiments_package_imports_no_driver():
+    loaded = _modules_after("import repro.experiments\n")
+    assert _under(loaded, ("repro.experiments",)) == ["repro.experiments"]
+    loaded = _modules_after("import repro.experiments\nrepro.experiments.fig01\n")
+    assert "repro.experiments.fig01" in loaded
 
 
 # -- examples ---------------------------------------------------------------------

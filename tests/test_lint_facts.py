@@ -99,6 +99,24 @@ def test_callgraph_resolves_relative_from_imports():
     assert "repro.demo.other:leaf" in reached
 
 
+def test_callgraph_follows_function_local_driver_imports():
+    # The registry imports each driver inside its runner, so the edge
+    # runner -> driver.run comes from a function-local ``from . import``.
+    modules = [
+        facts_of(
+            (REPO / "src" / "repro" / "experiments" / f"{name}.py").read_text(
+                encoding="utf-8"
+            ),
+            path=f"repro/experiments/{name}.py",
+        )
+        for name in ("registry", "chaos", "fig01")
+    ]
+    graph = CallGraph(Program(modules))
+    for runner, driver in (("chaos_report", "chaos"), ("fig01_report", "fig01")):
+        reached = graph.reachable(f"repro.experiments.registry:{runner}")
+        assert f"repro.experiments.{driver}:run" in reached, runner
+
+
 # -- on-disk facts cache ------------------------------------------------------
 
 

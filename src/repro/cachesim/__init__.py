@@ -18,13 +18,6 @@ _EXPORTS = {
         "hit_probability",
         "solo_ipc",
     ),
-    "prefetch": (
-        "NextLinePrefetcher",
-        "PrefetchStats",
-        "Prefetcher",
-        "PrefetchingCache",
-        "StridePrefetcher",
-    ),
     "replacement": (
         "BipPolicy",
         "DipPolicy",

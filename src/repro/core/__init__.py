@@ -8,7 +8,6 @@ imported on first access (:mod:`repro.lazy`).
 from repro.lazy import lazy_exports
 
 _EXPORTS = {
-    "billing": ("Invoice", "PollutionBiller", "PricingPlan"),
     "engine": ("KyotoEngine",),
     "equation": ("llc_cap_act", "llcm_indicator"),
     "instances": (

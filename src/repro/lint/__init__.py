@@ -1,4 +1,4 @@
-"""kyotolint: repo-specific static analysis plus runtime contracts.
+"""kyotolint: repo-specific static analysis, paired with runtime contracts.
 
 The reproduction's credibility rests on two properties no general-purpose
 linter checks: **determinism** (every stochastic stream derives from
@@ -7,7 +7,7 @@ results) and **unit correctness** (equation 1 mixes kHz, cycles and
 milliseconds — by conversion, never by accident).  ``kyotolint`` enforces
 both statically over the AST (:mod:`repro.lint.walker`,
 :mod:`repro.lint.rules`) and dynamically via invariant contracts
-(:mod:`repro.lint.contracts`).
+(:mod:`repro.contracts`).
 
 Run it as ``repro lint [paths] [--format json] [--baseline FILE]``, or
 programmatically::
@@ -16,15 +16,6 @@ programmatically::
     findings = lint_paths(["src/repro"])
     assert exit_code(findings) == 0
 """
-
-from repro.contracts import (
-    ContractViolation,
-    InvariantChecker,
-    check,
-    contracts_enabled,
-    invariant,
-    set_contracts_enabled,
-)
 
 from .analyzer import analyze_paths
 from .baseline import Baseline, BaselineError
@@ -52,10 +43,8 @@ __all__ = [
     "ALL_RULES",
     "Baseline",
     "BaselineError",
-    "ContractViolation",
     "FACTS_VERSION",
     "Finding",
-    "InvariantChecker",
     "ModuleFacts",
     "Program",
     "ProgramRule",
@@ -63,18 +52,14 @@ __all__ = [
     "RULES_VERSION",
     "Rule",
     "analyze_paths",
-    "check",
     "clear_cache",
-    "contracts_enabled",
     "exit_code",
     "extract_facts",
     "failing_findings",
     "format_json",
     "format_text",
-    "invariant",
     "iter_python_files",
     "lint_file",
     "lint_paths",
     "lint_source",
-    "set_contracts_enabled",
 ]

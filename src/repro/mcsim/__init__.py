@@ -1,23 +1,16 @@
 """Pin-style trace capture and McSimA+-style replay (Section 3.3's second
 monitoring solution)."""
 
-from .advisor import ColocationAdvisor, ColocationAssessment
-from .multicore import CoRunReport, MultiCoreReplayer, co_run_workloads
 from .pin import CaptureConfig, PinTool, TraceRecord
 from .replay import McSimReplayer, ReplayReport
 from .service import ReplayService, ServiceStats
 
 __all__ = [
     "CaptureConfig",
-    "CoRunReport",
-    "ColocationAdvisor",
-    "ColocationAssessment",
     "McSimReplayer",
-    "MultiCoreReplayer",
     "PinTool",
     "ReplayReport",
     "ReplayService",
     "ServiceStats",
     "TraceRecord",
-    "co_run_workloads",
 ]

@@ -7,7 +7,7 @@
   loads no experiment, scenario or simulator module before it dispatches.
 * The lazy packages (:mod:`repro.lazy`) keep every re-export importable
   from the same place, ``import *`` and ``dir()`` included.
-* The quickstart example and the README quickstart still run.
+* Every example script and the README quickstart still run.
 """
 
 from __future__ import annotations
@@ -251,10 +251,18 @@ def test_experiments_package_imports_no_driver():
 # -- examples ---------------------------------------------------------------------
 
 
-def test_quickstart_example_runs():
-    completed = _python(str(REPO / "examples" / "quickstart.py"))
+#: Text an example's output must contain, beyond being non-empty.
+EXAMPLE_EXPECTS = {"quickstart.py": "punishments"}
+
+
+@pytest.mark.parametrize(
+    "script", sorted((REPO / "examples").glob("*.py")), ids=lambda path: path.name
+)
+def test_example_runs(script):
+    completed = _python(str(script))
     assert completed.returncode == 0, completed.stderr
-    assert "punishments" in completed.stdout
+    assert completed.stdout.strip()
+    assert EXAMPLE_EXPECTS.get(script.name, "") in completed.stdout
 
 
 def test_readme_quickstart_runs_in_a_fresh_interpreter():

@@ -197,57 +197,6 @@ class TestPmcProperties:
         assert delta(start, later) == increment
 
 
-class TestPlacementProperties:
-    fleets = st.lists(
-        st.tuples(
-            st.floats(min_value=0, max_value=1e6),  # pollution
-            st.booleans(),                          # sensitive
-        ),
-        min_size=1,
-        max_size=8,
-    )
-
-    @staticmethod
-    def _descriptors(raw):
-        from repro.placement.algorithms import VmDescriptor
-
-        return [
-            VmDescriptor(f"vm{i}", "gcc", pollution, sensitive)
-            for i, (pollution, sensitive) in enumerate(raw)
-        ]
-
-    @given(fleets)
-    @settings(max_examples=60)
-    def test_balance_meets_lpt_approximation_bound(self, raw):
-        """Greedy longest-processing-time respects its classical 4/3
-        guarantee against the makespan lower bound."""
-        from repro.placement.algorithms import balance_pollution_placement
-
-        vms = self._descriptors(raw)
-        balanced = balance_pollution_placement(vms, 2, cores_per_host=8)
-        total = sum(vm.pollution for vm in vms)
-        biggest = max(vm.pollution for vm in vms)
-        optimal_lower_bound = max(total / 2, biggest)
-        assert (
-            balanced.max_host_pollution
-            <= 4 / 3 * optimal_lower_bound + 1e-6
-        )
-
-    @given(fleets)
-    @settings(max_examples=60)
-    def test_every_vm_placed_exactly_once(self, raw):
-        from repro.placement.algorithms import balance_pollution_placement
-
-        vms = self._descriptors(raw)
-        placement = balance_pollution_placement(vms, 3, cores_per_host=8)
-        placed = [
-            vm.name
-            for host_vms in placement.assignments.values()
-            for vm in host_vms
-        ]
-        assert sorted(placed) == sorted(vm.name for vm in vms)
-
-
 class TestKendallProperties:
     @given(st.permutations(list("abcdefg")))
     def test_self_correlation_is_one(self, order):

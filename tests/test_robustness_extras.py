@@ -1,5 +1,5 @@
-"""Tests for the fault-injecting monitor, performance jitter, the
-statistics helpers and the colocation advisor."""
+"""Tests for the fault-injecting monitor, performance jitter and the
+statistics helpers."""
 
 import dataclasses
 
@@ -15,11 +15,7 @@ from repro.core.ks4xen import KS4Xen
 from repro.core.monitor import DirectPmcMonitor, FaultInjectingMonitor
 from repro.hardware.specs import CacheSpec, KIB, paper_machine
 from repro.hypervisor.system import VirtualizedSystem
-from repro.mcsim.advisor import ColocationAdvisor
-from repro.mcsim.multicore import MultiCoreReplayer
-from repro.mcsim.pin import CaptureConfig
 from repro.schedulers.credit import CreditScheduler
-from repro.workloads.profiles import application_workload
 
 from conftest import make_vm
 
@@ -190,104 +186,3 @@ class TestPerfJitter:
             return vm.instructions_retired
 
         assert run(0.05) == pytest.approx(run(0.0), rel=0.02)
-
-
-class TestColocationAdvisor:
-    @pytest.fixture(scope="class")
-    def advisor(self):
-        return ColocationAdvisor(
-            capture_config=CaptureConfig(sample_accesses=12_000)
-        )
-
-    def test_quiet_pair_acceptable(self, advisor):
-        assessment = advisor.assess(
-            [application_workload("hmmer"), application_workload("povray")]
-        )
-        assert assessment.worst_degradation < 5.0
-        assert assessment.acceptable(15.0)
-
-    def test_disruptor_flagged(self, advisor):
-        assessment = advisor.assess(
-            [application_workload("omnetpp"), application_workload("lbm")]
-        )
-        # The sensitive workload's predicted degradation is substantial
-        # and far larger than the streaming disruptor's.
-        assert assessment.predicted_degradation["omnetpp"] > 10.0
-        assert (
-            assessment.predicted_degradation["omnetpp"]
-            > assessment.predicted_degradation["lbm"] + 5.0
-        )
-
-    def test_prediction_matches_machine_model(self, advisor):
-        """The analytical prediction must land near the machine
-        simulation's measured degradation (same underlying model)."""
-        from repro.hypervisor.system import VirtualizedSystem
-        from repro.hypervisor.vm import VmConfig
-        from repro.schedulers.credit import CreditScheduler
-
-        assessment = advisor.assess(
-            [application_workload("omnetpp"), application_workload("lbm")]
-        )
-
-        def measured():
-            solo = VirtualizedSystem(CreditScheduler())
-            ref = solo.create_vm(
-                VmConfig(name="ref", workload=application_workload("omnetpp"),
-                         pinned_cores=[0])
-            )
-            solo.run_ticks(30)
-            ref.reset_metrics()
-            solo.run_ticks(90)
-            base = ref.vcpus[0].ipc
-            system = VirtualizedSystem(CreditScheduler())
-            sen = system.create_vm(
-                VmConfig(name="sen", workload=application_workload("omnetpp"),
-                         pinned_cores=[0])
-            )
-            system.create_vm(
-                VmConfig(name="dis", workload=application_workload("lbm"),
-                         pinned_cores=[1])
-            )
-            system.run_ticks(30)
-            sen.reset_metrics()
-            system.run_ticks(90)
-            return 100.0 * (1 - sen.vcpus[0].ipc / base)
-
-        assert assessment.predicted_degradation["omnetpp"] == pytest.approx(
-            measured(), abs=8.0
-        )
-
-    def test_pollution_prediction_ordering(self, advisor):
-        assessment = advisor.assess(
-            [application_workload("gcc"), application_workload("lbm")]
-        )
-        assert (
-            assessment.predicted_pollution["lbm"]
-            > assessment.predicted_pollution["gcc"]
-        )
-
-    def test_admit_respects_budget(self, advisor):
-        quiet = [application_workload("hmmer")]
-        assert advisor.admit(quiet, application_workload("povray"), 15.0)
-        sensitive = [application_workload("omnetpp")]
-        assert not advisor.admit(
-            sensitive, application_workload("blockie"), 15.0
-        )
-
-    def test_cross_check_confirms_pressure_ordering(self, advisor):
-        reports = advisor.cross_check(
-            [application_workload("hmmer"), application_workload("lbm")]
-        )
-        assert (
-            reports["lbm"].misses_per_kinst
-            > reports["hmmer"].misses_per_kinst
-        )
-
-    def test_duplicate_names_rejected(self, advisor):
-        w = application_workload("gcc")
-        with pytest.raises(ValueError):
-            advisor.assess([w, w])
-
-    def test_empty_rejected(self, advisor):
-        with pytest.raises(ValueError):
-            advisor.assess([])

@@ -7,7 +7,10 @@ Section 4.2's methodology:
    equation 1 (misses per millisecond);
 2. run each application **in parallel with each other application** and
    measure the performance degradation it inflicts; the application's
-   *real aggressiveness* is the average degradation it causes;
+   *real aggressiveness* is the average degradation it causes.  A
+   parallel co-run slows both VMs, so each unordered pair co-runs once
+   and both VMs are measured: one co-run gives the degradation each
+   application inflicts on the other;
 3. compare the indicator-induced orderings to the real one with Kendall's
    tau.
 """
@@ -15,7 +18,7 @@ Section 4.2's methodology:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.equation import llc_cap_act, llcm_indicator
 # Submodule imports (not the repro.scenario package) to stay cycle-free:
@@ -97,63 +100,78 @@ def _solo_spec(app: str, config: CampaignConfig) -> ScenarioSpec:
     )
 
 
+def _co_run_ipcs(
+    core0_app: str, core1_app: str, config: CampaignConfig
+) -> Dict[str, float]:
+    """Co-run two applications pinned to cores 0 and 1 of one socket —
+    the paper's "parallel execution" situation — and measure both:
+    ``{app: ipc}`` over the measurement window."""
+    built = materialize(
+        ScenarioSpec(
+            name=f"aggressiveness-{core1_app}-vs-{core0_app}",
+            machine=MachineSpecChoice(preset=config.machine_preset),
+            vms=tuple(
+                VmSpec(name=app, workload=WorkloadSpec(app=app), pinned_cores=(core,))
+                for core, app in enumerate((core0_app, core1_app))
+            ),
+        )
+    )
+    system = built.system
+    vms = {app: built.vm(app) for app in (core0_app, core1_app)}
+    system.run_ticks(config.warmup_ticks)
+    for vm in vms.values():
+        vm.reset_metrics()
+    system.run_ticks(config.measure_ticks)
+    return {app: vm.vcpus[0].ipc for app, vm in vms.items()}
+
+
 def run_pair_degradation(
     aggressor: str,
     victim: str,
     victim_solo_ipc: float,
     config: Optional[CampaignConfig] = None,
 ) -> float:
-    """Degradation (%) ``aggressor`` inflicts on ``victim`` in parallel.
-
-    The two VMs run pinned to different cores of the same socket — the
-    paper's "parallel execution" situation.
-    """
+    """Degradation (%) ``aggressor`` inflicts on ``victim`` in parallel
+    (victim on core 0, aggressor on core 1)."""
     if config is None:
         config = CampaignConfig()
-    built = materialize(
-        ScenarioSpec(
-            name=f"aggressiveness-{aggressor}-vs-{victim}",
-            machine=MachineSpecChoice(preset=config.machine_preset),
-            vms=(
-                VmSpec(
-                    name=victim,
-                    workload=WorkloadSpec(app=victim),
-                    pinned_cores=(0,),
-                ),
-                VmSpec(
-                    name=aggressor,
-                    workload=WorkloadSpec(app=aggressor),
-                    pinned_cores=(1,),
-                ),
-            ),
-        )
-    )
-    system = built.system
-    victim_vm = built.vm(victim)
-    system.run_ticks(config.warmup_ticks)
-    victim_vm.reset_metrics()
-    system.run_ticks(config.measure_ticks)
-    return degradation_percent(victim_solo_ipc, victim_vm.vcpus[0].ipc)
+    ipcs = _co_run_ipcs(victim, aggressor, config)
+    return degradation_percent(victim_solo_ipc, ipcs[victim])
 
 
 def run_campaign(
     apps: Sequence[str], config: Optional[CampaignConfig] = None
 ) -> Dict[str, AggressivenessReport]:
-    """Full Fig 4 campaign over ``apps``: solo profiles + all pairs."""
+    """Full Fig 4 campaign over ``apps``: solo profiles + all pairs.
+
+    Each unordered pair co-runs once and both VMs' IPCs are kept.  The
+    later app of ``apps`` takes core 0, as the victim of
+    ``run_pair_degradation(apps[i], apps[j], ...)`` for ``i < j`` does.
+    With two pinned owners every float reduction has at most two terms,
+    so swapping the cores only permutes commutative sums: the core-1 IPC
+    is bit-identical to the role-swapped run's victim IPC.
+    """
     if config is None:
         config = CampaignConfig()
     if len(set(apps)) != len(apps):
         raise ValueError(f"duplicate applications in {apps}")
     solos = {app: run_solo(app, config) for app in apps}
+    #: (aggressor, victim) -> the victim's IPC in their co-run.
+    co_run_ipc: Dict[Tuple[str, str], float] = {}
+    for i, first in enumerate(apps):
+        for second in apps[i + 1:]:
+            ipcs = _co_run_ipcs(second, first, config)
+            co_run_ipc[(first, second)] = ipcs[second]
+            co_run_ipc[(second, first)] = ipcs[first]
     reports = {app: AggressivenessReport(app=app, solo=solos[app]) for app in apps}
+    # Nested-loop order: real_aggressiveness sums the dict in insertion
+    # order, which pins the float result.
     for aggressor in apps:
         for victim in apps:
-            if victim == aggressor:
-                continue
-            caused = run_pair_degradation(
-                aggressor, victim, solos[victim].ipc, config
-            )
-            reports[aggressor].degradation_caused[victim] = caused
+            if victim != aggressor:
+                reports[aggressor].degradation_caused[victim] = degradation_percent(
+                    solos[victim].ipc, co_run_ipc[(aggressor, victim)]
+                )
     return reports
 
 

@@ -19,9 +19,9 @@ from repro.analysis.metrics import degradation_percent
 from repro.analysis.reporting import format_table
 from repro.analysis.statistics import linear_fit
 from repro.scenario import ScenarioSpec, VmSpec, WorkloadSpec, materialize
-from repro.workloads.profiles import SENSITIVE_APPS, application_workload
+from repro.workloads.profiles import SENSITIVE_APPS
 
-from .common import measured_ipc, solo_ipc_of
+from .common import measured_ipc
 
 DEFAULT_CAPS = (0, 20, 40, 60, 80, 100)
 
@@ -43,33 +43,43 @@ def run(
 ) -> Fig03Result:
     result = Fig03Result(caps=list(caps))
     for vsen, app in SENSITIVE_APPS.items():
-        solo = solo_ipc_of(
-            application_workload(app), warmup_ticks=warmup_ticks,
-            measure_ticks=measure_ticks,
-        )
-        series: List[float] = []
-        for cap in caps:
-            vms = [
-                VmSpec(name=vsen, workload=WorkloadSpec(app=app), pinned_cores=(0,))
-            ]
-            if cap > 0:
-                vms.append(
-                    VmSpec(
-                        name="vdis1",
-                        workload=WorkloadSpec(app=disruptor_app),
-                        cap_percent=float(cap),
-                        pinned_cores=(1,),
-                    )
-                )
-            built = materialize(
-                ScenarioSpec(name=f"fig03-{vsen}-cap{cap}", vms=tuple(vms))
+        # The sensitive VM alone is both the solo baseline and the cap-0
+        # point, so one run serves both.
+        solo = _sensitive_ipc(vsen, app, 0, disruptor_app, warmup_ticks, measure_ticks)
+        result.degradation[vsen] = [
+            degradation_percent(
+                solo,
+                solo if cap == 0 else _sensitive_ipc(
+                    vsen, app, cap, disruptor_app, warmup_ticks, measure_ticks
+                ),
             )
-            ipc = measured_ipc(
-                built.system, built.vm(vsen), warmup_ticks, measure_ticks
-            )
-            series.append(degradation_percent(solo, ipc))
-        result.degradation[vsen] = series
+            for cap in caps
+        ]
     return result
+
+
+def _sensitive_ipc(
+    vsen: str,
+    app: str,
+    cap: int,
+    disruptor_app: str,
+    warmup_ticks: int,
+    measure_ticks: int,
+) -> float:
+    """IPC of ``vsen`` on core 0 beside vdis1 capped at ``cap`` percent
+    on core 1 (alone when ``cap`` is 0)."""
+    vms = [VmSpec(name=vsen, workload=WorkloadSpec(app=app), pinned_cores=(0,))]
+    if cap > 0:
+        vms.append(
+            VmSpec(
+                name="vdis1",
+                workload=WorkloadSpec(app=disruptor_app),
+                cap_percent=float(cap),
+                pinned_cores=(1,),
+            )
+        )
+    built = materialize(ScenarioSpec(name=f"fig03-{vsen}-cap{cap}", vms=tuple(vms)))
+    return measured_ipc(built.system, built.vm(vsen), warmup_ticks, measure_ticks)
 
 
 def is_monotone_increasing(series: Sequence[float], tolerance: float = 1.0) -> bool:

@@ -3,8 +3,9 @@
 Runs the Section 4.2 campaign over the ten applications: each measured
 alone for its LLCM and equation-1 indicators, then in parallel with every
 other application for its *real* aggressiveness (average degradation
-caused).  Kendall's tau decides which indicator's ordering is closer to
-the real one.
+caused).  Each unordered pair co-runs once and both VMs are measured, so
+the ten solos are followed by 45 co-runs.  Kendall's tau decides which
+indicator's ordering is closer to the real one.
 
 Expected result (paper): real order o1 = (blockie, lbm, mcf, soplex,
 milc, omnetpp, gcc, xalan, astar, bzip); LLCM order o2 puts milc first;

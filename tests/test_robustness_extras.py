@@ -1,8 +1,6 @@
 """Tests for the fault-injecting monitor, performance jitter and the
 statistics helpers."""
 
-import dataclasses
-
 import pytest
 
 from repro.analysis.statistics import (
@@ -13,7 +11,6 @@ from repro.analysis.statistics import (
 )
 from repro.core.ks4xen import KS4Xen
 from repro.core.monitor import DirectPmcMonitor, FaultInjectingMonitor
-from repro.hardware.specs import CacheSpec, KIB, paper_machine
 from repro.hypervisor.system import VirtualizedSystem
 from repro.schedulers.credit import CreditScheduler
 

@@ -10,11 +10,12 @@ dependency-free (stdlib only, wall clock strictly through
   machine/python metadata and a deterministic per-benchmark ``check``
   value (so a benchmark run doubles as a semantics smoke test),
 * :mod:`repro.bench.registry` — the benchmark catalogue: the tick loop
-  at 2/8/32 vCPUs, occupancy ``relax``, credit ``_pick``/``_steal``,
-  scenario materialization, campaign fan-out plumbing and the
-  execution-time protocol (absorbing the old ``tools/bench_exec_time.py``),
+  at 2/8/32/256 vCPUs and on a period-2 occupancy orbit, occupancy
+  ``relax``, credit ``_pick``/``_steal``, scenario materialization,
+  campaign fan-out plumbing and the execution-time protocol (absorbing
+  the old ``tools/bench_exec_time.py``),
 * :mod:`repro.bench.compare` — regression gating against a committed
-  baseline (``BENCH_pr20.json``): ``repro bench --compare BASELINE
+  baseline (``BENCH_pr26.json``): ``repro bench --compare BASELINE
   --tolerance PCT`` exits nonzero when any benchmark's median is slower
   than baseline by more than the tolerance.
 

@@ -1,6 +1,6 @@
 """Baseline comparison: the regression gate behind ``repro bench --compare``.
 
-A committed baseline (``BENCH_pr20.json``, schema ``repro.bench/2``) pins
+A committed baseline (``BENCH_pr26.json``, schema ``repro.bench/2``) pins
 the perf trajectory; comparing a fresh run against it answers two
 questions per benchmark — *how much faster/slower is the tree now* and
 *does the slowdown exceed the tolerance*.  Tolerances are percentages on
@@ -113,7 +113,7 @@ def annotate_document(
 ) -> None:
     """Embed before/after numbers into a results document, in place.
 
-    This is what makes a committed ``BENCH_pr20.json`` self-documenting:
+    This is what makes a committed ``BENCH_pr26.json`` self-documenting:
     each result carries the baseline median and the measured speedup of
     the run that produced it.
     """

@@ -7,6 +7,8 @@ Each benchmark builds its system-under-test from fixed seeds inside
 * ``tick_loop_{2,8,32}vcpu`` — the full tick loop (scheduler placement,
   sub-step execution, LLC relaxation, accounting) at three consolidation
   ratios on the paper's 4-core machine,
+* ``tick_loop_orbit`` — the tick loop of a pinned one-VM-per-core co-run
+  whose occupancies settle on a period-2 orbit, past warm-up,
 * ``vm_churn_soak`` — the service loop's dynamic lifecycle (admit,
   batched-slot rebuild, retire) on the 4x16-core machine,
 * ``occupancy_relax`` — the per-substep shared-LLC relaxation alone,
@@ -27,6 +29,7 @@ in well under a minute.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Any, Dict, List, Tuple
 
 from repro.cachesim.occupancy import LlcOccupancyDomain
@@ -43,6 +46,7 @@ from repro.hardware.specs import (
 )
 from repro.hypervisor.system import VirtualizedSystem
 from repro.hypervisor.vm import VmConfig
+from repro.pmc.counters import PmcEvent
 from repro.schedulers.credit import CreditScheduler
 from repro.service import (
     CapacityCapAdmission,
@@ -143,6 +147,50 @@ def _tick_loop_wide_benchmark(num_vcpus: int, ticks: int) -> Benchmark:
         setup=lambda: _tick_loop_wide_system(num_vcpus),
         body=lambda system: _run_tick_loop(system, ticks),
     )
+
+
+# -- period-2 orbit ----------------------------------------------------------
+
+_ORBIT_APPS = ("gcc", "povray", "lbm", "mcf")
+_ORBIT_WARMUP_TICKS = 10
+_ORBIT_TICKS = 1500
+
+
+def _orbit_setup() -> VirtualizedSystem:
+    """gcc, povray, lbm and mcf pinned one per core, past warm-up: two
+    owners' occupancies then flip between two states one ulp apart on
+    every sub-step, so the tick engine replays a period-2 orbit."""
+    system = VirtualizedSystem(CreditScheduler(), paper_machine())
+    for core, app in enumerate(_ORBIT_APPS):
+        system.create_vm(
+            VmConfig(
+                name=app,
+                workload=application_workload(app),
+                pinned_cores=[core],
+            )
+        )
+    system.run_ticks(_ORBIT_WARMUP_TICKS)
+    return system
+
+
+def _orbit_body(system: VirtualizedSystem) -> str:
+    """Run the ticks; digest vCPU metrics, PMC totals and occupancy."""
+    system.run_ticks(_ORBIT_TICKS)
+    rows: List[Any] = []
+    for vcpu in system.vcpus:
+        system.perfctr.flush_running(vcpu.gid)
+        account = system.perfctr.account(vcpu.gid)
+        rows.append(
+            (
+                vcpu.cycles_run,
+                vcpu.instructions_retired,
+                vcpu.llc_accesses,
+                vcpu.llc_misses,
+                [account.read(event) for event in PmcEvent],
+            )
+        )
+    rows.append(list(system.llc_domains[0].snapshot().items()))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
 
 
 # -- vm churn soak -----------------------------------------------------------
@@ -370,6 +418,15 @@ BENCHMARKS: Tuple[Benchmark, ...] = (
     _tick_loop_benchmark(8, 500),
     _tick_loop_benchmark(32, 300),
     _tick_loop_wide_benchmark(256, 40),
+    Benchmark(
+        name="tick_loop_orbit",
+        description=(
+            f"full tick loop: gcc, povray, lbm and mcf pinned one per core "
+            f"on a period-2 occupancy orbit, {_ORBIT_TICKS} ticks"
+        ),
+        setup=_orbit_setup,
+        body=_orbit_body,
+    ),
     Benchmark(
         name="vm_churn_soak",
         description=(

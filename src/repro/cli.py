@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument(
         "--compare",
         metavar="BASELINE",
-        help="compare against a repro.bench/2 baseline (e.g. BENCH_pr20.json)",
+        help="compare against a repro.bench/2 baseline (e.g. BENCH_pr26.json)",
     )
     bench_parser.add_argument(
         "--tolerance",

@@ -36,15 +36,17 @@ Why it is faster than the scalar loop:
   colour-partitioned ``PartitionedLlcDomain`` included, exposes the two
   things the proof needs: its live occupancy dict (``_occupancy``, read
   directly by the slots) and a monotone ``_state_version``.
-* **Steady-state fast-forward.**  Once a whole sub-step was steady —
-  every occupied slot memo-hit with a static behavior right after
-  executing the previous sub-step, nothing was vacated, finished or
-  blocked, and every socket's relax was elided or a proven no-op — the
-  machine is at a fixed point until a finite workload clips or finishes.
-  :meth:`BatchTickEngine._fast_forward` replays the rest of the tick up
-  to that step in slot locals, with each accumulator's float additions
-  in the scalar order.  The window never crosses a tick boundary, so the
-  scheduler and Kyoto observe nothing new.
+* **Steady-state fast-forward.**  After a *pure* sub-step (every
+  occupied slot ran a full-budget step through the unclipped tail, and
+  nothing was vacated, finished or blocked) the machine is at a fixed
+  point if no relax changed a domain, and on a period-2 orbit if the
+  sub-step before was pure too and every changed socket is back in its
+  state of two sub-steps ago (pinned co-runs often flip forever between
+  two states one ulp apart).  :meth:`BatchTickEngine._fast_forward`
+  replays the rest of the tick in slot locals, alternating two memo
+  entries per slot, with the scalar order of float additions.  The
+  window never crosses a tick boundary, so the scheduler and Kyoto
+  observe nothing new.
 
 The flush discipline ("flush before escape") is the one invariant to
 keep in mind when extending the engine: any call that can read vCPU
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 from typing import Dict, List, TYPE_CHECKING
 
+from repro.cachesim.occupancy import LlcOccupancyDomain
 from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,6 +68,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Sentinel for "this slot did not execute the previous sub-step".
 _NEVER = -10
+#: A socket's change-log entry before any logged relax change.
+_NO_CHANGE = (_NEVER, -1, -1.0, None)
 
 
 class _CoreSlot:
@@ -89,9 +94,9 @@ class _CoreSlot:
         "b_wss", "b_lapki", "b_theta", "b_base_cpi", "b_mlp", "b_cap",
         "b_trivial", "b_keep", "b_lapki_k",
         # step memo: inputs (occupant, behavior identity, occupancy at a
-        # full budget) -> raw step outputs
-        "m_vcpu", "m_behavior", "m_occ", "r_instructions", "r_accesses",
-        "r_misses",
+        # full budget) -> raw step outputs, as an (occupancy, instructions,
+        # accesses, misses) entry, and the entry it replaced
+        "m_vcpu", "m_behavior", "memo", "memo_prev",
         # truth-metric mirrors (same accumulation order as the vCPU's)
         "t_cycles", "t_instructions", "t_accesses", "t_misses",
         "done_instructions",
@@ -112,47 +117,22 @@ class _CoreSlot:
         self.budget_cycles = budget_cycles
         self.occ_map = occ_map
         self.pmcs = pmcs
-        self.vcpu = None
+        self.vcpu = self.workload = self.static_behavior = None
+        self.boundary_fn = self.finite_total = None
         self.gid = -1
-        self.workload = None
-        self.static_behavior = None
-        self.boundary_fn = None
-        self.finite_total = None
         self.memory_cycles = 0.0
-        self.stopped = False
-        self.executed = False
+        self.stopped = self.executed = self.pending_dirty = False
         self.pending_cycles = 0
-        self.pending_dirty = False
-        self.b_wss = 0.0
-        self.b_lapki = 0.0
-        self.b_theta = 1.0
-        self.b_base_cpi = 1.0
-        self.b_mlp = 1.0
-        self.b_cap = 0.0
+        self.b_wss = self.b_lapki = self.b_cap = self.b_lapki_k = 0.0
+        self.b_theta = self.b_base_cpi = self.b_mlp = self.b_keep = 1.0
         self.b_trivial = True
-        self.b_keep = 1.0
-        self.b_lapki_k = 0.0
-        self.m_vcpu = None
-        self.m_behavior = None
-        self.m_occ = -1.0
-        self.r_instructions = 0.0
-        self.r_accesses = 0.0
-        self.r_misses = 0.0
-        self.t_cycles = 0
-        self.t_instructions = 0.0
-        self.t_accesses = 0.0
-        self.t_misses = 0.0
-        self.done_instructions = 0.0
-        self.c_instr = 0.0
-        self.c_miss = 0.0
-        self.c_access = 0.0
-        self.lt_cycles = 0
-        self.lt_instructions = 0.0
-        self.lt_misses = 0.0
-        self.p_cycles = 0
-        self.p_instr = 0
-        self.p_miss = 0
-        self.p_ref = 0
+        self.m_vcpu = self.m_behavior = None
+        self.memo = self.memo_prev = (-1.0, 0.0, 0.0, 0.0)
+        self.t_cycles = self.lt_cycles = 0
+        self.t_instructions = self.t_accesses = self.t_misses = 0.0
+        self.done_instructions = self.lt_instructions = self.lt_misses = 0.0
+        self.c_instr = self.c_miss = self.c_access = 0.0
+        self.p_cycles = self.p_instr = self.p_miss = self.p_ref = 0
         self.last_exec_stamp = _NEVER
         self.sub_miss = 0.0
 
@@ -182,8 +162,14 @@ class BatchTickEngine:
         self._stamp = 0
         self._stopped_count = 0
         #: Sub-steps replayed by :meth:`_fast_forward` instead of the
-        #: sub-step loop (a test oracle; not telemetry).
+        #: sub-step loop, and those of them on a period-2 orbit (test
+        #: oracles; not telemetry).
         self.fast_forwarded_substeps = 0
+        self.orbit_substeps = 0
+        # Consecutive pure sub-steps, and per socket the last two relax
+        # changes as (stamp, version, used lines, occupancy copy).
+        self._pure_run = 0
+        self._changes = [[_NO_CHANGE] * 2 for _ in range(num_sockets)]
         # Per-socket relax-elision state: was the previous relaxation a
         # provable no-op, and at which occupancy-state version.
         self._prev_nop: List[bool] = [False] * num_sockets
@@ -213,6 +199,7 @@ class BatchTickEngine:
             self._prev_nop[socket_id] = False
             self._ver_after[socket_id] = -1
             self._dirty[socket_id] = True
+            self._changes[socket_id] = [_NO_CHANGE] * 2
 
     # -- fleet lifecycle -----------------------------------------------------
 
@@ -421,6 +408,9 @@ class BatchTickEngine:
         # A fixed point is provable only without jitter (every step would
         # take _finish_step).
         may_fast_forward = jitter_stream is None
+        # A new occupant or a rebound domain breaks every orbit proof; a
+        # mutation from outside the engine breaks the version count.
+        pure_run = 0 if True in dirty else self._pure_run
 
         step = 0
         while step < substeps:
@@ -428,6 +418,9 @@ class BatchTickEngine:
             self._stamp += 1
             stamp = self._stamp
             prev_stamp = stamp - 1
+            # Pure: every occupied slot runs a full-budget step through
+            # the unclipped tail, and no slot is vacated.
+            pure = may_fast_forward
 
             for slot in slots:
                 vcpu = slot.vcpu
@@ -437,6 +430,7 @@ class BatchTickEngine:
                     # Finished or blocked mid-tick: vacate and let the
                     # scheduler place a replacement immediately.
                     self._vacate(slot)
+                    pure = False
                     vcpu = slot.vcpu
                     if vcpu is None or slot.stopped:
                         continue
@@ -448,22 +442,22 @@ class BatchTickEngine:
                 )
                 occupancy = slot.occ_map.get(slot.gid, 0.0)
                 budget_cycles = slot.budget_cycles
+                memo = slot.memo
                 if (
-                    slot.pending_cycles == 0
+                    occupancy == memo[0]
                     and behavior is slot.m_behavior
-                    and occupancy == slot.m_occ
+                    and slot.pending_cycles == 0
                 ):
                     # Memo hit: bitwise-identical step inputs, reuse the
                     # raw step outputs.
-                    instructions = slot.r_instructions
-                    accesses = slot.r_accesses
-                    misses = slot.r_misses
+                    _, instructions, accesses, misses = memo
                     memo_hit = True
                 else:
                     # Memo miss: pay any pending penalty, recompute the
                     # step.
                     pending_cycles = slot.pending_cycles
                     if pending_cycles:
+                        pure = False
                         penalty = min(budget_cycles, pending_cycles)
                         slot.pending_cycles = pending_cycles - penalty
                         slot.pending_dirty = True
@@ -499,10 +493,8 @@ class BatchTickEngine:
                     misses = accesses * (1.0 - hit)
                     if work_cycles == budget_cycles:
                         slot.m_behavior = behavior
-                        slot.m_occ = occupancy
-                        slot.r_instructions = instructions
-                        slot.r_accesses = accesses
-                        slot.r_misses = misses
+                        slot.memo_prev = memo
+                        slot.memo = (occupancy, instructions, accesses, misses)
                     memo_hit = False
                 finite_total = slot.finite_total
                 unclipped = finite_total is None or instructions < max(
@@ -513,6 +505,7 @@ class BatchTickEngine:
                     or jitter_stream is not None
                     or slot.boundary_fn is not None
                 ):
+                    pure = False
                     self._finish_step(
                         slot,
                         budget_cycles,
@@ -564,16 +557,13 @@ class BatchTickEngine:
                 ):
                     self._mark_finished(slot, now_usec)
 
-            # Steady: no socket was dirtied this sub-step, so every
-            # occupied slot took the memo-hit unclipped tail right after
-            # executing the previous sub-step, no vacate ran, and nothing
-            # finished or blocked.  The relax pass below must leave every
-            # occupancy untouched too.
-            steady = (
-                may_fast_forward
-                and self._stopped_count == 0
-                and True not in dirty
-            )
+            # A pure sub-step with nothing finished is a fixed point if its
+            # relax pass changes nothing, and on a period-2 orbit if the
+            # previous sub-step was pure too and every changed socket is
+            # back in its state of two sub-steps ago.
+            pure_run = pure_run + 1 if pure and not self._stopped_count else 0
+            settled = True
+            orbit = pure_run > 1
 
             # Relaxation pass, one socket at a time, contributors in
             # core order (the scalar path builds its pressure dicts in
@@ -606,33 +596,60 @@ class BatchTickEngine:
                     prev_nop[socket_id] = nop
                     ver_after[socket_id] = version_now
                     if not nop:
-                        steady = False
+                        settled = False
+                        # Orbits are sought only in ticks pure so far: after
+                        # a switch or sampling charge they rarely re-form.
+                        orbit = pure_run >= step and self._log_change(
+                            socket_id, stamp, orbit
+                        )
                 else:
                     prev_nop[socket_id] = False
                 dirty[socket_id] = False
 
-            if steady and step < substeps:
+            if pure_run and (settled or orbit) and step < substeps:
                 step += self._fast_forward(substeps - step)
 
+        self._pure_run = pure_run
         self._flush()
 
     # -- steady-state fast-forward ------------------------------------------
 
-    def _fast_forward(self, remaining: int) -> int:
-        """Replay up to ``remaining`` sub-steps of a machine at a fixed point.
+    def _log_change(self, socket_id: int, stamp: int, check: bool) -> bool:
+        """Log sub-step ``stamp``'s relax change on ``socket_id``; with
+        ``check``, return whether the socket is a plain
+        ``LlcOccupancyDomain`` back, items in order, in its state of two
+        sub-steps and exactly two relaxations ago."""
+        domain = self.system.llc_domains[socket_id]
+        changes = self._changes[socket_id]
+        older, newer = changes
+        version = domain._state_version
+        occupancy = domain._occupancy
+        changes[0] = newer
+        changes[1] = (stamp, version, domain.used_lines, occupancy.copy())
+        return (
+            check
+            and older[0] == stamp - 2
+            and newer[0] == stamp - 1
+            and older[1] + 2 == version
+            and type(domain) is LlcOccupancyDomain
+            and older[3] == occupancy
+            and list(older[3]) == list(occupancy)
+        )
 
-        Called after a steady sub-step: every occupied slot memo-hit with
-        a static behavior and every socket's relax was elided or a proven
-        no-op, so each following sub-step repeats the same step outputs
-        against the same occupancy, and its relax pass is elided.  Only
-        the accumulators move.  The window is the largest ``k`` for which
-        no finite slot clips or finishes, evaluated with the sub-step
-        loop's own expressions; that step runs on the normal path.  Each
-        float accumulator is advanced slot by slot with the same
-        additions in the same order as ``k`` inline tails; integer cycles
-        advance as ``budget * k``, which is exact.  Returns ``k``.
+    def _fast_forward(self, remaining: int) -> int:
+        """Replay up to ``remaining`` sub-steps of a machine on an orbit.
+
+        Each occupied slot alternates ``a``, the memo entry keyed by its
+        occupancy now (what the sub-step before last read; at a fixed
+        point the memo itself), and ``b``, the last sub-step's.  The
+        window is the largest ``k`` for which no finite slot clips or
+        finishes, with the loop's own expressions.  Float accumulators
+        repeat the inline tail's additions in order; ``carry % 1.0``
+        equals ``carry - int(carry)`` for ``carry >= 0``.  Each changed
+        socket ends in the recorded state of the window's last phase,
+        its version advanced by ``k``.  Returns ``k``.
         """
-        occupied: List[_CoreSlot] = []
+        stepping = []
         k = remaining
         for slot in self.slots:
             if slot.vcpu is None:
@@ -640,14 +657,16 @@ class BatchTickEngine:
             if slot.static_behavior is None:
                 # A phase may change the behavior sample inside the window.
                 return 0
+            b = slot.memo
+            a = b if b[0] == slot.occ_map.get(slot.gid, 0.0) else slot.memo_prev
             finite_total = slot.finite_total
             if finite_total is not None:
-                instructions = slot.r_instructions
                 done = slot.done_instructions
                 safe = 0
-                while safe < k and instructions < max(
-                    0.0, finite_total - done
-                ):
+                while safe < k:
+                    instructions = (b if safe & 1 else a)[1]
+                    if not instructions < max(0.0, finite_total - done):
+                        break
                     done += instructions
                     if done >= finite_total:
                         break
@@ -655,11 +674,9 @@ class BatchTickEngine:
                 if safe == 0:
                     return 0
                 k = safe
-            occupied.append(slot)
-        for slot in occupied:
-            instructions = slot.r_instructions
-            accesses = slot.r_accesses
-            misses = slot.r_misses
+            stepping.append((slot, a, b))
+        for slot, a, b in stepping:
+            steps = ((a, b) * k)[:k]
             t_instructions = slot.t_instructions
             t_accesses = slot.t_accesses
             t_misses = slot.t_misses
@@ -669,10 +686,8 @@ class BatchTickEngine:
             c_instr = slot.c_instr
             c_miss = slot.c_miss
             c_access = slot.c_access
-            p_instr = slot.p_instr
-            p_miss = slot.p_miss
-            p_ref = slot.p_ref
-            for _ in range(k):
+            w_instr = w_miss = w_ref = 0.0
+            for _, instructions, accesses, misses in steps:
                 t_instructions += instructions
                 t_accesses += accesses
                 t_misses += misses
@@ -680,17 +695,14 @@ class BatchTickEngine:
                 lt_instructions += instructions
                 lt_misses += misses
                 carry = c_instr + instructions
-                whole = int(carry)
-                c_instr = carry - whole
-                p_instr += whole
+                c_instr = carry % 1.0
+                w_instr += carry - c_instr
                 carry = c_miss + misses
-                whole = int(carry)
-                c_miss = carry - whole
-                p_miss += whole
+                c_miss = carry % 1.0
+                w_miss += carry - c_miss
                 carry = c_access + accesses
-                whole = int(carry)
-                c_access = carry - whole
-                p_ref += whole
+                c_access = carry % 1.0
+                w_ref += carry - c_access
             slot.t_instructions = t_instructions
             slot.t_accesses = t_accesses
             slot.t_misses = t_misses
@@ -700,16 +712,40 @@ class BatchTickEngine:
             slot.c_instr = c_instr
             slot.c_miss = c_miss
             slot.c_access = c_access
-            slot.p_instr = p_instr
-            slot.p_miss = p_miss
-            slot.p_ref = p_ref
+            slot.p_instr += int(w_instr)
+            slot.p_miss += int(w_miss)
+            slot.p_ref += int(w_ref)
             cycles = slot.budget_cycles * k
             slot.t_cycles += cycles
             slot.lt_cycles += cycles
             slot.p_cycles += cycles
+            slot.sub_miss = steps[-1][3]
+            if a is not b:
+                # Every replayed step missed the memo and shifted it.
+                slot.memo, slot.memo_prev = (a, b) if k & 1 else (b, a)
             slot.last_exec_stamp += k
+        stamp = self._stamp
+        orbit = False
+        for socket_id, domain in enumerate(self.system.llc_domains):
+            changes = self._changes[socket_id]
+            older, newer = changes
+            if newer[0] != stamp:
+                continue
+            orbit = True
+            if k & 1:
+                domain._occupancy.clear()
+                domain._occupancy.update(older[3])
+                domain._used_lines = older[2]
+            domain._state_version += k
+            domain._relax_memo = None
+            self._ver_after[socket_id] = domain._state_version
+            first, last = (newer, older) if k & 1 else (older, newer)
+            changes[0] = (stamp + k - 1, domain._state_version - 1) + first[2:]
+            changes[1] = (stamp + k, domain._state_version) + last[2:]
         self._stamp += k
         self.fast_forwarded_substeps += k
+        if orbit:
+            self.orbit_substeps += k
         return k
 
     # -- step tail ----------------------------------------------------------

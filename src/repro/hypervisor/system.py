@@ -379,8 +379,11 @@ class VirtualizedSystem:
         )
         if vcpu.current_core is not None:
             self.context_switch(self.machine.core(vcpu.current_core), None)
+        was_unpinned = vcpu.pinned_core is None
         vcpu.pinned_core = new_core_id
         self.scheduler.reassign_vcpu(vcpu, new_core_id)
+        if was_unpinned:
+            self.scheduler.on_vcpu_pinned(vcpu)
         if old_socket is not None and old_socket != new_core.socket_id:
             self.llc_domains[old_socket].flush_owner(vcpu.gid)
             self.recorder.inc("sys.cross_socket_migrations")

@@ -99,6 +99,10 @@ class Scheduler(ABC):
     ) -> None:
         """Per-scheduler bookkeeping after a migration (optional)."""
 
+    def on_vcpu_pinned(self, vcpu: "VCpu") -> None:
+        """Called after :meth:`~repro.hypervisor.system.VirtualizedSystem.
+        migrate_vcpu` pins a previously unpinned vCPU (optional)."""
+
     def vcpus_on_core(self, core_id: int) -> List["VCpu"]:
         """vCPUs assigned to ``core_id``, in registration order."""
         return [v for v in self._vcpus if self.assigned_core[v.gid] == core_id]

@@ -74,6 +74,9 @@ class CreditScheduler(Scheduler):
         # Freshly woken UNDER vCPUs get BOOST: they preempt at the next
         # scheduling decision (Xen's latency optimisation for I/O VMs).
         self._boosted: set = set()
+        # Registered vCPUs that no pin keeps off other cores: with none,
+        # an idle core has nothing to steal.
+        self._unpinned = 0
 
     # -- admission ---------------------------------------------------------------
 
@@ -90,6 +93,8 @@ class CreditScheduler(Scheduler):
             cap_percent=per_vcpu_cap,
         )
         self._rr_order.setdefault(core_id, []).append(vcpu.gid)
+        if vcpu.pinned_core is None:
+            self._unpinned += 1
 
     def account(self, vcpu: "VCpu") -> CreditAccount:
         return self.accounts[vcpu.gid]
@@ -101,6 +106,8 @@ class CreditScheduler(Scheduler):
         if order is not None and gid in order:
             order.remove(gid)
         self._boosted.discard(gid)
+        if vcpu.pinned_core is None:
+            self._unpinned -= 1
         # A retired vCPU must not be charged to a successor's stint, nor
         # keep owning a core's slice.
         for stint_core, stint_gid in list(self._stint_gid.items()):
@@ -112,6 +119,9 @@ class CreditScheduler(Scheduler):
         if old_core is not None and vcpu.gid in self._rr_order.get(old_core, []):
             self._rr_order[old_core].remove(vcpu.gid)
         self._rr_order.setdefault(new_core, []).append(vcpu.gid)
+
+    def on_vcpu_pinned(self, vcpu) -> None:
+        self._unpinned -= 1
 
     # -- placement ---------------------------------------------------------------
 
@@ -190,7 +200,11 @@ class CreditScheduler(Scheduler):
 
         Stealing only crosses socket boundaries as a last resort — moving
         a vCPU away from its warm LLC is expensive (the Fig 9 lesson).
+        With every vCPU pinned there is nothing to steal, and no runqueue
+        is walked.
         """
+        if not self._unpinned:
+            return None
         machine = self.system.machine
         my_socket = machine.core(core_id).socket_id
         accounts = self.accounts

@@ -106,6 +106,15 @@ class TestRegistry:
         with pytest.raises(KeyError, match="nope"):
             benchmarks_named(["nope", "tick_loop_2vcpu"])
 
+    def test_tick_loop_orbit_rides_the_orbit(self):
+        """The orbit case runs the period-2 fast-forward, and its check
+        repeats on a fresh system."""
+        (benchmark,) = benchmarks_named(["tick_loop_orbit"])
+        system = benchmark.setup()
+        check = benchmark.body(system)
+        assert system._batch_engine.orbit_substeps > 0
+        assert benchmark.body(benchmark.setup()) == check
+
     def test_tick_loop_check_is_simulation_exact(self):
         """The benchmark check doubles as a golden: fresh systems agree."""
         (benchmark,) = benchmarks_named(["scenario_materialize"])

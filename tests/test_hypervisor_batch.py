@@ -23,7 +23,7 @@ from repro.cachesim.perfmodel import CacheBehavior
 from repro.core.ks4xen import KS4Xen
 from repro.core.monitor import DirectPmcMonitor
 from repro.hardware.latency import PAPER_LATENCIES
-from repro.hardware.specs import MIB, MachineSpec
+from repro.hardware.specs import MIB, MachineSpec, paper_machine
 from repro.hypervisor.batch import BatchTickEngine
 from repro.hypervisor.system import VirtualizedSystem
 from repro.hypervisor.vm import VmConfig
@@ -638,6 +638,227 @@ class TestKyotoOvercommitEquivalence:
             assert (
                 _kyoto_overcommit_fingerprint(engine, jitter, 5, 45) == reference
             ), engine
+
+
+# -- period-2 occupancy orbits -------------------------------------------------
+
+#: One VM per core of the paper machine.  Their occupancies settle into an
+#: exact two-sub-step cycle instead of a fixed point under XCS.
+ORBIT_APPS = ("gcc", "povray", "lbm", "mcf")
+
+
+def _orbit_fingerprint(
+    engine,
+    scheduler,
+    ticks=40,
+    totals=None,
+    between=None,
+    color=False,
+    switch_cost=20_000,
+    engines=None,
+):
+    """Run the orbit fleet; capture every observable, exactly.
+
+    The trail records each domain's occupancy items in dict order, its
+    ``_state_version`` and its used lines, so a replay must leave the
+    domain as the relaxations it skipped would.  ``totals`` makes apps
+    finite; ``between(system, tick, vms)`` runs after every tick;
+    ``engines`` receives ``(tick, fast_forwarded, orbit)`` rows per tick
+    on the batch engine.
+    """
+    system = VirtualizedSystem(
+        scheduler,
+        paper_machine(),
+        context_switch_cost_cycles=switch_cost,
+        tick_engine=engine,
+    )
+    vms = [
+        system.create_vm(
+            VmConfig(
+                name=app,
+                workload=application_workload(
+                    app, total_instructions=(totals or {}).get(app)
+                ),
+                pinned_cores=[core],
+                llc_cap=250_000,
+            )
+        )
+        for core, app in enumerate(ORBIT_APPS)
+    ]
+    if color:
+        apply_page_coloring(system, {vms[0]: 20_000.0, vms[1]: 30_000.0})
+    trail = []
+
+    def observe(s, tick):
+        trail.append(
+            (
+                dict(s.last_tick_cycles),
+                dict(s.last_tick_instructions),
+                dict(s.last_tick_misses),
+                tuple(
+                    (
+                        tuple(d._occupancy.items()),
+                        d._state_version,
+                        d.used_lines,
+                    )
+                    for d in s.llc_domains
+                ),
+            )
+        )
+        batch = s._batch_engine
+        if engines is not None and batch is not None:
+            engines.append(
+                (tick, batch.fast_forwarded_substeps, batch.orbit_substeps)
+            )
+        if between is not None:
+            between(s, tick, vms)
+
+    system.add_tick_observer(observe)
+    system.run_ticks(ticks)
+    final = []
+    for vm in vms:
+        vcpu = vm.vcpus[0]
+        system.perfctr.flush_running(vcpu.gid)
+        account = system.perfctr.account(vcpu.gid)
+        final.append(
+            (
+                vcpu.cycles_run,
+                vcpu.instructions_retired,
+                vcpu.llc_accesses,
+                vcpu.llc_misses,
+                vcpu.progress.instructions_done,
+                vcpu.progress.finished_at_usec,
+                vcpu.batch_mirror(),
+                tuple(account.read(event) for event in PmcEvent),
+            )
+        )
+    return trail, final
+
+
+def _per_tick(rows):
+    """Per-tick (fast-forwarded, orbit) sub-step counts from cumulative rows."""
+    previous = (0, 0)
+    counts = []
+    for _, fast_forwarded, orbit in rows:
+        counts.append(
+            (fast_forwarded - previous[0], orbit - previous[1])
+        )
+        previous = (fast_forwarded, orbit)
+    return counts
+
+
+class TestPeriodTwoOrbit:
+    @staticmethod
+    def _equivalent(make_scheduler, **options):
+        """scalar == batch on the orbit fleet; the batch per-tick counts."""
+        reference = _orbit_fingerprint("scalar", make_scheduler(), **options)
+        rows = []
+        assert (
+            _orbit_fingerprint("batch", make_scheduler(), engines=rows, **options)
+            == reference
+        )
+        return reference, _per_tick(rows)
+
+    def test_xcs_fleet_rides_the_orbit(self):
+        """After warm-up the orbit carries across tick boundaries: every
+        tick replays all but its first sub-step, an odd window, so each
+        tick ends on the other phase's occupancy."""
+        _, counts = self._equivalent(CreditScheduler)
+        assert counts[-30:] == [(9, 9)] * 30
+
+    def test_ks4xen_sampling_charge_keeps_fleet_off_the_orbit(self):
+        """KS4Xen charges each sampled vCPU 2,000 cycles, so sub-step 1 is
+        impure every tick and no orbit is sought in it; only the
+        fixed-point path engages."""
+        _, counts = self._equivalent(KS4Xen)
+        assert sum(orbit for _, orbit in counts) == 0
+        assert sum(fast_forwarded for fast_forwarded, _ in counts) > 0
+
+    def test_finite_finish_inside_orbit_window(self, monkeypatch):
+        """gcc finishes in tick 15 while the fleet is on the orbit: the
+        window stops short, the finishing step runs on the normal path,
+        and the three survivors settle on a fixed point."""
+        windows = []
+        fast_forward = BatchTickEngine._fast_forward
+
+        def spy(engine, remaining):
+            orbit = engine.orbit_substeps
+            skipped = fast_forward(engine, remaining)
+            windows.append((remaining, skipped, engine.orbit_substeps - orbit))
+            return skipped
+
+        monkeypatch.setattr(BatchTickEngine, "_fast_forward", spy)
+        (_, final), counts = self._equivalent(
+            CreditScheduler, totals={"gcc": 132.2e6}
+        )
+        assert final[0][5] == 150_000  # finished in tick 15
+        assert (9, 4, 4) in windows
+        assert counts[15] == (4, 4)
+        assert counts[-10:] == [(9, 0)] * 10
+
+    def test_flush_owner_between_ticks_breaks_the_orbit(self):
+        """Flushing lbm's lines at the end of tick 20 moves the socket's
+        state outside the engine: no replay may use the recorded orbit,
+        and the fleet needs two ticks to find its way back."""
+
+        def between(system, tick, vms):
+            if tick == 20:
+                system.llc_domains[0].flush_owner(vms[2].vcpus[0].gid)
+
+        _, counts = self._equivalent(CreditScheduler, between=between)
+        assert counts[20] == (9, 9)
+        assert counts[21:23] == [(0, 0), (0, 0)]
+        assert counts[-10:] == [(9, 9)] * 10
+
+    def test_migrate_vcpu_between_ticks_breaks_the_orbit(self):
+        """povray and lbm swap cores at the end of tick 20, with free
+        context switches, so no penalty makes the next sub-step impure.
+        The new occupants break the proof: the orbit is re-proven from
+        sub-step 2, not carried from sub-step 1."""
+
+        def between(system, tick, vms):
+            if tick == 20:
+                system.migrate_vcpu(vms[1].vcpus[0], 2)
+                system.migrate_vcpu(vms[2].vcpus[0], 1)
+
+        _, counts = self._equivalent(
+            CreditScheduler, between=between, switch_cost=0
+        )
+        assert counts[20] == (9, 9)
+        assert counts[21] == (8, 8)
+        assert counts[-10:] == [(9, 9)] * 10
+
+    def test_page_coloured_socket_stays_off_the_orbit(self):
+        _, counts = self._equivalent(CreditScheduler, color=True)
+        assert sum(orbit for _, orbit in counts) == 0
+
+
+class TestReplayCarry:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        carry=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        phases=st.tuples(
+            st.floats(min_value=0.0, max_value=1e9),
+            st.floats(min_value=0.0, max_value=1e9),
+        ),
+        k=st.integers(min_value=1, max_value=10),
+    )
+    def test_mod_carry_equals_int_carry(self, carry, phases, k):
+        """The replay's ``carry % 1.0`` with float-summed whole parts
+        equals the inline tail's ``int()`` carry, bit for bit, for a
+        non-negative carry and k alternating increments."""
+        inline, inline_whole = carry, 0
+        replay, replay_whole = carry, 0.0
+        for value in (phases * k)[:k]:
+            total = inline + value
+            whole = int(total)
+            inline = total - whole
+            inline_whole += whole
+            total = replay + value
+            replay = total % 1.0
+            replay_whole += total - replay
+        assert replay.hex() == inline.hex()
+        assert int(replay_whole) == inline_whole
 
 
 # -- multi-socket accounting bugfixes -----------------------------------------

@@ -12,6 +12,8 @@ from repro.schedulers.credit import CreditScheduler
 from repro.telemetry import MetricsRecorder
 from repro.workloads.profiles import application_workload
 
+from conftest import make_vm
+
 
 def unpinned_vm(system, name, app="povray"):
     return system.create_vm(
@@ -213,3 +215,88 @@ class TestStealMatchesReference:
         assert _steal_outcome(system, stolen) == _steal_outcome(
             reference, _reference_steal(reference.scheduler, 0)
         )
+
+
+# -- the unpinned count: all-pinned fleets never walk a runqueue -------------
+
+
+class _CountingLookups(dict):
+    """A gid -> vCPU map that counts lookups (a runqueue walk does one per
+    queued vCPU)."""
+
+    lookups = 0
+
+    def __getitem__(self, gid):
+        self.lookups += 1
+        return super().__getitem__(gid)
+
+
+def _steal_walks(system, monkeypatch):
+    """Spy on ``_steal``: one entry per call, the gid lookups it made."""
+    walks = []
+    steal = CreditScheduler._steal
+
+    def spy(scheduler, core_id):
+        by_gid = scheduler._vcpu_by_gid
+        scheduler._vcpu_by_gid = counting = _CountingLookups(by_gid)
+        try:
+            return steal(scheduler, core_id)
+        finally:
+            scheduler._vcpu_by_gid = by_gid
+            walks.append(counting.lookups)
+
+    monkeypatch.setattr(CreditScheduler, "_steal", spy)
+    return walks
+
+
+class TestUnpinnedCount:
+    def test_all_pinned_fleet_never_walks_a_runqueue(self, monkeypatch):
+        """Eight vCPUs pinned to core 0 leave cores 1-3 idle: every idle
+        pick asks ``_steal``, which returns at once."""
+        system = VirtualizedSystem(KS4Xen())
+        for index in range(8):
+            system.create_vm(
+                VmConfig(
+                    name=f"p{index}",
+                    workload=application_workload("gcc"),
+                    pinned_cores=[0],
+                    llc_cap=100_000,
+                )
+            )
+        walks = _steal_walks(system, monkeypatch)
+        system.run_ticks(12)
+        assert len(walks) >= 3 * 12
+        assert set(walks) == {0}
+
+    def test_one_unpinned_vcpu_is_still_stolen(self, monkeypatch):
+        system = VirtualizedSystem(CreditScheduler())
+        for index in range(3):
+            make_vm(system, f"p{index}", app="povray", core=0)
+        roamer = unpinned_vm(system, "roamer")
+        system.scheduler.reassign_vcpu(roamer.vcpus[0], 0)
+        walks = _steal_walks(system, monkeypatch)
+        system.run_ticks(3)
+        assert max(walks) > 0
+        assert roamer.vcpus[0].current_core not in (None, 0)
+
+    def test_migrate_vcpu_pins_and_retire_uncounts(self, monkeypatch):
+        """``migrate_vcpu`` pins an unpinned vCPU, so the count drops and
+        the walks stop; retiring a pinned vCPU leaves the count alone,
+        retiring an unpinned one drops it."""
+        system = VirtualizedSystem(CreditScheduler())
+        scheduler = system.scheduler
+        pinned = make_vm(system, "pinned", app="povray", core=0)
+        roamers = [unpinned_vm(system, f"r{index}") for index in range(2)]
+        assert scheduler._unpinned == 2
+        system.migrate_vcpu(roamers[0].vcpus[0], 1)
+        assert roamers[0].vcpus[0].pinned_core == 1
+        assert scheduler._unpinned == 1
+        system.retire_vm(roamers[1])
+        assert scheduler._unpinned == 0
+        walks = _steal_walks(system, monkeypatch)
+        system.run_ticks(5)
+        assert walks and set(walks) == {0}
+        system.retire_vm(roamers[0])
+        system.retire_vm(pinned)
+        assert scheduler._unpinned == 0
+

@@ -139,7 +139,7 @@ class KyotoEngine:
         """Run the monitoring period: measure and debit each managed VM.
 
         Only VMs that actually *executed* during the period are sampled:
-        debiting a parked or blocked VM would append a zero-rate entry to
+        debiting a parked or finished VM would append a zero-rate entry to
         its :class:`PollutionAccount`, diluting ``samples`` and
         ``mean_measured`` with periods in which the VM could not pollute
         at all.  Execution is detected by the VM's cumulative

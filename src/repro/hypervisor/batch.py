@@ -4,7 +4,7 @@
 per-core calls into :func:`~repro.cachesim.perfmodel.execute_step` with a
 struct-of-arrays pass over *core slots*: one persistent record per
 physical core holding the occupant vCPU's cycle budget, pending
-context-switch penalty, behavior sample, occupancy memo, truth-metric
+context-switch penalty, behavior, occupancy memo, truth-metric
 mirrors, integer-carry state and PMC deltas.  The engine is **bit-exact**
 with the scalar path — every float expression is kept
 expression-identical and every accumulation runs in the same order — so
@@ -13,14 +13,14 @@ the experiment goldens (sha256-pinned reports) do not move.
 Why it is faster than the scalar loop:
 
 * **Exact fixed-point memoisation.**  At a steady periodic schedule the
-  inputs of a sub-step — behavior sample, occupancy, cycle budget — are
+  inputs of a sub-step — behavior, occupancy, cycle budget — are
   *bitwise identical* to the previous sub-step for the overwhelming
   majority of slot-steps (>93% on the tick-loop benchmarks).  Floats are
   deterministic functions of their inputs, so the step outputs are
   reused without recomputing ``resident ** theta`` and the CPI chain.
   Under heavy overcommit the occupants keep changing and most slot-steps
   miss; the miss path runs the step inline, with the behavior-only
-  constants precomputed per sample (:func:`_load_behavior`).
+  constants precomputed per behavior (:func:`_load_behavior`).
 * **Deferred flushing.**  Truth metrics, workload progress, carry
   state and PMC counts accumulate in slot-local variables and are
   flushed to the vCPU / counter objects only at tick end or before any
@@ -38,7 +38,7 @@ Why it is faster than the scalar loop:
   directly by the slots) and a monotone ``_state_version``.
 * **Steady-state fast-forward.**  After a *pure* sub-step (every
   occupied slot ran a full-budget step through the unclipped tail, and
-  nothing was vacated, finished or blocked) the machine is at a fixed
+  nothing was vacated or finished) the machine is at a fixed
   point if no relax changed a domain, and on a period-2 orbit if the
   sub-step before was pure too and every changed socket is back in its
   state of two sub-steps ago (pinned co-runs often flip forever between
@@ -60,7 +60,6 @@ from __future__ import annotations
 from typing import Dict, List, TYPE_CHECKING
 
 from repro.cachesim.occupancy import LlcOccupancyDomain
-from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover
     from .system import VirtualizedSystem
@@ -85,8 +84,8 @@ class _CoreSlot:
         # immutable per machine
         "core", "core_id", "socket_id", "budget_cycles", "occ_map", "pmcs",
         # occupant
-        "vcpu", "gid", "workload", "static_behavior", "boundary_fn",
-        "finite_total", "memory_cycles", "stopped", "executed",
+        "vcpu", "gid", "behavior", "finite_total", "memory_cycles",
+        "stopped", "executed",
         # pending context-switch penalty mirror
         "pending_cycles", "pending_dirty",
         # behavior fields of m_behavior and the step constants derived from
@@ -117,8 +116,7 @@ class _CoreSlot:
         self.budget_cycles = budget_cycles
         self.occ_map = occ_map
         self.pmcs = pmcs
-        self.vcpu = self.workload = self.static_behavior = None
-        self.boundary_fn = self.finite_total = None
+        self.vcpu = self.behavior = self.finite_total = None
         self.gid = -1
         self.memory_cycles = 0.0
         self.stopped = self.executed = self.pending_dirty = False
@@ -241,16 +239,7 @@ class BatchTickEngine:
             self._stopped_count += 1
         progress = vcpu.progress
         workload = progress.workload
-        slot.workload = workload
-        # Only PhasedWorkload overrides behavior_at; a workload using the
-        # base implementation has one constant behavior for its lifetime,
-        # so the per-sub-step sample call is skipped entirely.
-        slot.static_behavior = (
-            workload.behavior
-            if type(workload).behavior_at is Workload.behavior_at
-            else None
-        )
-        slot.boundary_fn = vcpu._boundary_fn
+        slot.behavior = workload.behavior
         slot.finite_total = workload.total_instructions
         if vcpu is not slot.m_vcpu:
             # New occupant: the step memo belongs to the old one.
@@ -427,19 +416,14 @@ class BatchTickEngine:
                 if vcpu is None:
                     continue
                 if slot.stopped:
-                    # Finished or blocked mid-tick: vacate and let the
-                    # scheduler place a replacement immediately.
+                    # Finished mid-tick: vacate and let the scheduler
+                    # place a replacement immediately.
                     self._vacate(slot)
                     pure = False
                     vcpu = slot.vcpu
                     if vcpu is None or slot.stopped:
                         continue
-                static = slot.static_behavior
-                behavior = (
-                    static
-                    if static is not None
-                    else slot.workload.behavior_at(slot.done_instructions)
-                )
+                behavior = slot.behavior
                 occupancy = slot.occ_map.get(slot.gid, 0.0)
                 budget_cycles = slot.budget_cycles
                 memo = slot.memo
@@ -500,11 +484,7 @@ class BatchTickEngine:
                 unclipped = finite_total is None or instructions < max(
                     0.0, finite_total - slot.done_instructions
                 )
-                if (
-                    not unclipped
-                    or jitter_stream is not None
-                    or slot.boundary_fn is not None
-                ):
+                if not unclipped or jitter_stream is not None:
                     pure = False
                     self._finish_step(
                         slot,
@@ -518,7 +498,7 @@ class BatchTickEngine:
                         stamp,
                     )
                     continue
-                # Unclipped, unjittered, no boundary: _finish_step's scale
+                # Unclipped and unjittered: _finish_step's scale
                 # is exactly 1.0 (or 0.0 on a zero-instruction step, whose
                 # accesses and misses are 0.0 already), so the outputs
                 # accumulate unchanged.
@@ -654,9 +634,6 @@ class BatchTickEngine:
         for slot in self.slots:
             if slot.vcpu is None:
                 continue
-            if slot.static_behavior is None:
-                # A phase may change the behavior sample inside the window.
-                return 0
             b = slot.memo
             a = b if b[0] == slot.occ_map.get(slot.gid, 0.0) else slot.memo_prev
             finite_total = slot.finite_total
@@ -762,12 +739,11 @@ class BatchTickEngine:
         now_usec: int,
         stamp: int,
     ) -> None:
-        """The post-step tail: jitter, clipping, blocking, accumulation.
+        """The post-step tail: jitter, clipping, accumulation.
 
         Mirrors ``_execute_substep`` line for line; used for every step
         that cannot take the unclipped fast path.
         """
-        system = self.system
         jittered = raw_instructions
         if jitter_fraction:
             jittered *= 1.0 + jitter_stream.uniform(
@@ -780,19 +756,6 @@ class BatchTickEngine:
             instructions = min(
                 jittered, max(0.0, finite_total - slot.done_instructions)
             )
-        boundary_fn = slot.boundary_fn
-        if boundary_fn is not None:
-            done = slot.done_instructions
-            to_boundary = boundary_fn(done) - done
-            if instructions >= to_boundary:
-                instructions = to_boundary
-                slot.vcpu.blocked_until_usec = (
-                    now_usec + slot.workload.think_usec
-                )
-                system._sleeping_count += 1
-                if not slot.stopped:
-                    slot.stopped = True
-                    self._stopped_count += 1
         scale = (
             instructions / raw_instructions if raw_instructions > 0 else 0.0
         )
@@ -847,11 +810,11 @@ def _load_behavior(slot: _CoreSlot, behavior) -> None:
 
     Also derives the step constants that depend on the behavior alone
     (the trivial-hit test, ``1.0 - stream_fraction`` and
-    ``lapki / 1000.0``), so they are computed once per sample change
-    instead of once per step.  Invalidates the memo first: the ``b_*``
+    ``lapki / 1000.0``), so they are computed once per load instead of
+    once per step.  Invalidates the memo first: the ``b_*``
     fields must always describe ``m_behavior``, and a penalty-shortened
     step (which never stores a memo) would otherwise leave them
-    describing a different sample than a surviving memo entry.
+    describing a different behavior than a surviving memo entry.
     """
     slot.m_behavior = None
     wss = behavior.wss_lines

@@ -146,12 +146,6 @@ class VirtualizedSystem:
         #: (the default) costs one attribute check per migration.
         self.migration_interceptor: Optional[Callable[[VCpu, int], None]] = None
         self._pending_penalty_cycles: Dict[int, int] = {}
-        # vCPUs currently in think time (blocked_until_usec set).  Only
-        # the sub-step boundary path ever blocks a vCPU, and only
-        # _wake_sleepers unblocks, so this counter lets the per-tick wake
-        # scan be skipped entirely while nothing is asleep (the common
-        # case for the batch experiments).
-        self._sleeping_count = 0
         # Per-core execution budget (cycles) of one sub-step.  tick_usec,
         # substeps_per_tick and core frequencies are all fixed at
         # construction, so the rounding below is hoisted out of the inner
@@ -297,9 +291,6 @@ class VirtualizedSystem:
                 core = self.machine.core(vcpu.current_core)
                 self.context_switch(core, None)
                 self._pending_penalty_cycles.pop(core.core_id, None)
-            if vcpu.blocked_until_usec is not None:
-                vcpu.blocked_until_usec = None
-                self._sleeping_count -= 1
             # A retired vCPU must never look runnable again, even to code
             # holding a stale reference.
             vcpu.paused = True
@@ -489,7 +480,6 @@ class VirtualizedSystem:
         return self.tick_index - start
 
     def _do_tick(self) -> None:
-        self._wake_sleepers()
         self.scheduler.on_tick_start(self.tick_index)
         executor = self._tick_executor
         if executor is None:
@@ -520,18 +510,6 @@ class VirtualizedSystem:
             observer(self, self.tick_index)
         self.tick_index += 1
 
-    def _wake_sleepers(self) -> None:
-        """Unblock vCPUs whose think time elapsed; notify the scheduler
-        (Xen gives freshly woken vCPUs BOOST priority)."""
-        if self._sleeping_count == 0:
-            return
-        now = self.engine.clock.now_usec
-        for vcpu in self.vcpus:
-            if vcpu.blocked_until_usec is not None and vcpu.blocked_until_usec <= now:
-                vcpu.blocked_until_usec = None
-                self._sleeping_count -= 1
-                self.scheduler.on_vcpu_wake(vcpu)
-
     def _execute_tick(self) -> None:
         """Run all placed vCPUs through the tick, in sub-steps.
 
@@ -539,13 +517,6 @@ class VirtualizedSystem:
         occupancy frozen at the sub-step start, then relaxes each socket's
         occupancy domain under the collected insertion pressures (see
         :meth:`~repro.cachesim.occupancy.LlcOccupancyDomain.relax`).
-
-        The footprint cap handed to ``relax`` is taken from the same
-        pre-execution behavior sample that produced the sub-step's misses:
-        the insertions and the cap they are bounded by must describe the
-        same phase of the workload.  (Re-sampling after execution — the
-        old behaviour — let a phase transition inside the sub-step pair
-        this phase's misses with the next phase's cap.)
         """
         self.last_tick_cycles = {}
         self.last_tick_misses = {}
@@ -566,8 +537,8 @@ class VirtualizedSystem:
                     self._pending_penalty_cycles.pop(core.core_id, None)
                     continue
                 if not vcpu.runnable:
-                    # Finished or blocked mid-tick: vacate the core and
-                    # let the scheduler place a replacement immediately.
+                    # Finished mid-tick: vacate the core and let the
+                    # scheduler place a replacement immediately.
                     self.context_switch(core, None)
                     self.scheduler.refill_core(core)
                     vcpu = core.running
@@ -587,9 +558,8 @@ class VirtualizedSystem:
     def _execute_substep(self, core: Core, vcpu: VCpu) -> Tuple[float, "CacheBehavior"]:
         """Execute one vCPU for one sub-step.
 
-        Returns the LLC misses produced and the (pre-execution) behavior
-        the step ran under, so the caller can bound the relaxation with
-        the cap belonging to the same workload phase.
+        Returns the LLC misses produced and the behavior the step ran
+        under, whose footprint cap bounds the caller's relaxation.
         """
         core_id = core.core_id
         gid = vcpu.gid
@@ -603,7 +573,7 @@ class VirtualizedSystem:
         work_cycles = budget - penalty
 
         domain = self.llc_domains[core.socket_id]
-        behavior = progress.workload.behavior_at(progress.instructions_done)
+        behavior = progress.workload.behavior
         # is_memory_remote(vcpu, core_id), inlined: core.socket_id is the
         # socket of core_id and both operands are fixed at construction.
         remote = core.socket_id != vcpu.vm.config.memory_node
@@ -619,20 +589,8 @@ class VirtualizedSystem:
             jittered *= 1.0 + self._jitter_stream.uniform(
                 -self.perf_jitter_fraction, self.perf_jitter_fraction
             )
-        # Clip to remaining work for finite workloads, and to the current
-        # burst for interactive workloads (burst end -> think time).
+        # Clip to remaining work for finite workloads.
         instructions = min(jittered, progress.remaining_instructions)
-        boundary_fn = vcpu._boundary_fn
-        if boundary_fn is not None:
-            to_boundary = boundary_fn(progress.instructions_done) - (
-                progress.instructions_done
-            )
-            if instructions >= to_boundary:
-                instructions = to_boundary
-                vcpu.blocked_until_usec = (
-                    self.engine.clock.now_usec + progress.workload.think_usec
-                )
-                self._sleeping_count += 1
         scale = (
             instructions / result.instructions if result.instructions > 0 else 0.0
         )

@@ -34,19 +34,12 @@ class VCpu:
         #: Index of this vCPU within its VM.
         self.index = index
         self.progress = WorkloadProgress(workload)
-        # Interactive workloads expose next_block_boundary; the workload
-        # never changes after construction, so the per-substep getattr is
-        # paid once here instead of in the execution loop.
-        self._boundary_fn = getattr(workload, "next_block_boundary", None)
         #: Core this vCPU is pinned to (None = scheduler's choice).
         self.pinned_core = pinned_core
         #: Core the vCPU currently occupies (None when descheduled).
         self.current_core: Optional[int] = None
         #: Set False by the hypervisor/scheduler to park the vCPU.
         self.paused = False
-        #: Simulated time until which the vCPU is blocked (interactive
-        #: think time); None when not blocked.  Managed by the system.
-        self.blocked_until_usec: Optional[int] = None
 
         # Truth metrics (simulator-exact; reset at measurement windows).
         self.instructions_retired = 0.0
@@ -69,11 +62,7 @@ class VCpu:
     @property
     def runnable(self) -> bool:
         """True if the vCPU wants CPU time right now."""
-        return (
-            not self.paused
-            and not self.progress.done
-            and self.blocked_until_usec is None
-        )
+        return not self.paused and not self.progress.done
 
     @property
     def is_running(self) -> bool:

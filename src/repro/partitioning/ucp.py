@@ -105,10 +105,7 @@ class UcpController:
         vcpus = self._socket_vcpus()
         if not vcpus:
             return {}
-        behaviors = {
-            vcpu.gid: vcpu.workload.behavior_at(vcpu.progress.instructions_done)
-            for vcpu in vcpus
-        }
+        behaviors = {vcpu.gid: vcpu.workload.behavior for vcpu in vcpus}
         freq = self.system.freq_khz
         rates: Dict[int, float] = {}
         for vcpu in vcpus:

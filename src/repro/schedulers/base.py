@@ -120,14 +120,10 @@ class Scheduler(ABC):
         """Per-scheduler retirement bookkeeping (optional).  ``core_id``
         is the core the vCPU was assigned to when it was retired."""
 
-    def on_vcpu_wake(self, vcpu: "VCpu") -> None:
-        """Called when a blocked vCPU becomes runnable again (optional;
-        Xen's credit scheduler uses it for BOOST priority)."""
-
     def refill_core(self, core) -> None:
-        """Called when a core's vCPU blocked mid-tick: place a runnable
-        replacement immediately instead of idling until the next tick
-        (real schedulers reschedule on block).  Default: leave idle."""
+        """Called when a core's vCPU finished or retired mid-tick: place a
+        runnable replacement immediately instead of idling until the next
+        tick.  Default: leave idle."""
 
     def is_parked(self, vcpu: "VCpu") -> bool:
         """True if the vCPU is forbidden to run (cap / pollution permit).

@@ -71,9 +71,6 @@ class CreditScheduler(Scheduler):
         # inherit (and be charged for) its predecessor's ticks.
         self._stint: Dict[int, int] = {}
         self._stint_gid: Dict[int, Optional[int]] = {}
-        # Freshly woken UNDER vCPUs get BOOST: they preempt at the next
-        # scheduling decision (Xen's latency optimisation for I/O VMs).
-        self._boosted: set = set()
         # Registered vCPUs that no pin keeps off other cores: with none,
         # an idle core has nothing to steal.
         self._unpinned = 0
@@ -105,7 +102,6 @@ class CreditScheduler(Scheduler):
         order = self._rr_order.get(core_id)
         if order is not None and gid in order:
             order.remove(gid)
-        self._boosted.discard(gid)
         if vcpu.pinned_core is None:
             self._unpinned -= 1
         # A retired vCPU must not be charged to a successor's stint, nor
@@ -125,71 +121,23 @@ class CreditScheduler(Scheduler):
 
     # -- placement ---------------------------------------------------------------
 
-    def _candidates(self, core_id: int) -> List["VCpu"]:
-        order = self._rr_order.get(core_id)
-        if not order:
-            return []
-        by_gid = self._vcpu_by_gid
-        return [
-            vcpu
-            for vcpu in (by_gid[gid] for gid in order)
-            if vcpu.runnable and not self.is_parked(vcpu)
-        ]
-
-    def on_vcpu_wake(self, vcpu) -> None:
-        if self.accounts[vcpu.gid].priority is Priority.UNDER:
-            self._boosted.add(vcpu.gid)
-            self.system.recorder.inc("credit.boosts")
-
     def _pick(self, core_id: int) -> Optional["VCpu"]:
-        boosted = self._boosted
-        if not boosted:
-            # Fast path: with no boosted vCPU anywhere, the first UNDER
-            # candidate in round-robin order wins outright, so the
-            # candidate filter fuses into one early-exiting scan instead
-            # of building the candidate list on every refill.
-            order = self._rr_order.get(core_id)
-            if not order:
-                return self._steal(core_id)
-            accounts = self.accounts
-            by_gid = self._vcpu_by_gid
-            fast_first_uncapped: Optional["VCpu"] = None
-            for gid in order:
-                vcpu = by_gid[gid]
-                if not vcpu.runnable or self.is_parked(vcpu):
-                    continue
-                account = accounts[gid]
-                if account.credits > 0:  # UNDER
-                    return vcpu
-                if (
-                    fast_first_uncapped is None
-                    and account.cap_percent is None
-                ):
-                    fast_first_uncapped = vcpu
-            if fast_first_uncapped is not None:
-                return fast_first_uncapped
-            return self._steal(core_id)
-        candidates = self._candidates(core_id)
-        if not candidates:
-            return self._steal(core_id)
+        # The first runnable, unparked UNDER vCPU in round-robin order
+        # wins outright, so one early-exiting scan suffices.
         accounts = self.accounts
-        boosted = self._boosted
-        first_under: Optional["VCpu"] = None
+        by_gid = self._vcpu_by_gid
         first_uncapped: Optional["VCpu"] = None
-        for vcpu in candidates:
-            account = accounts[vcpu.gid]
+        for gid in self._rr_order.get(core_id, ()):
+            vcpu = by_gid[gid]
+            if not vcpu.runnable or self.is_parked(vcpu):
+                continue
+            account = accounts[gid]
             if account.credits > 0:  # UNDER
-                if boosted and vcpu.gid in boosted:
-                    return vcpu
-                if first_under is None:
-                    first_under = vcpu
+                return vcpu
             if first_uncapped is None and account.cap_percent is None:
                 first_uncapped = vcpu
-        if first_under is not None:
-            return first_under
         # Work-conserving: run an OVER vCPU, but never one that is capped —
-        # a cap is a hard limit.  (first_uncapped can only be reached when
-        # no UNDER candidate exists, so every remaining candidate is OVER.)
+        # a cap is a hard limit.
         if first_uncapped is not None:
             return first_uncapped
         return self._steal(core_id)
@@ -267,12 +215,10 @@ class CreditScheduler(Scheduler):
             account = self.accounts[vcpu.gid]
             account.credits -= CREDITS_PER_TICK
             self.system.recorder.inc("credit.credits_burned", CREDITS_PER_TICK)
-            # BOOST lasts until the vCPU has been serviced once.
-            self._boosted.discard(vcpu.gid)
             # A vCPU owns the core for a full time slice (Xen: 30 ms)
             # before the round-robin order rotates — unless its credits
             # ran out earlier.  The slice is per vCPU: when the occupant
-            # changed since the last tick (block, preemption, steal), the
+            # changed since the last tick (finish, preemption, steal), the
             # new occupant starts its stint at zero instead of being
             # charged the ticks its predecessor ran.
             if self._stint_gid.get(core_id) == vcpu.gid:

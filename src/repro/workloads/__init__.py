@@ -9,7 +9,6 @@ from repro.lazy import lazy_exports
 
 _EXPORTS = {
     "base": ("LINE_BYTES", "Workload", "WorkloadProgress", "bytes_to_lines"),
-    "interactive": ("InteractiveWorkload", "web_tier_workload"),
     "micro": (
         "CacheFitCategory",
         "MicroVmPair",
@@ -18,7 +17,6 @@ _EXPORTS = {
         "micro_workload",
         "pointer_chase_behavior",
     ),
-    "phased": ("Phase", "PhasedWorkload", "bursty_workload"),
     "profiles": (
         "DISRUPTIVE_APPS",
         "FIG4_APPLICATIONS",

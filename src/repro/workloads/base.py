@@ -46,15 +46,6 @@ class Workload:
                 f"got {self.total_instructions}"
             )
 
-    def behavior_at(self, instructions_done: float) -> CacheBehavior:
-        """Cache behaviour after ``instructions_done`` instructions.
-
-        The base workload is single-phase; :class:`PhasedWorkload`
-        overrides this to model applications whose cache behaviour
-        changes over their execution.
-        """
-        return self.behavior
-
     def finite(self, total_instructions: float) -> "Workload":
         """Copy of this workload with a fixed amount of work."""
         return Workload(

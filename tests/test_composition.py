@@ -2,24 +2,20 @@
 
 The value of building everything in one repository: the mechanisms can be
 combined — partitioning under a Kyoto scheduler, UCP on CFS, MemGuard on
-a NUMA machine with migrations, phased workloads under every enforcement
-discipline — and the combinations must behave sensibly together.
+a NUMA machine with migrations — and the combinations must behave
+sensibly together.
 """
 
 import pytest
 
-from repro.cachesim.perfmodel import CacheBehavior
 from repro.core.ks4linux import KS4Linux
 from repro.core.ks4xen import KS4Xen
 from repro.core.memguard import MemGuardScheduler
 from repro.hardware.specs import numa_machine
 from repro.hypervisor.system import VirtualizedSystem
-from repro.hypervisor.vm import VmConfig
 from repro.partitioning.static import apply_page_coloring
 from repro.partitioning.ucp import UcpController
 from repro.schedulers.cfs import CfsScheduler
-from repro.workloads.phased import Phase, PhasedWorkload
-from repro.workloads.profiles import application_workload
 
 from conftest import make_vm
 
@@ -87,36 +83,3 @@ class TestMemGuardOnNuma:
         budget = system.scheduler.budget_of(vm)
         assert budget.throttle_events > 0
         assert vm.vcpus[0].current_core in (4, None)
-
-
-class TestPhasedUnderEveryDiscipline:
-    def _bursty(self):
-        quiet = CacheBehavior(wss_lines=1000, lapki=1.0, base_cpi=0.5)
-        return PhasedWorkload(
-            "bursty",
-            [Phase(quiet, 1.0e9), Phase(application_workload("lbm").behavior, 1.0e10)],
-            repeat=False,
-        )
-
-    @pytest.mark.parametrize("scheduler_cls", [KS4Xen, KS4Linux, MemGuardScheduler])
-    def test_phase_change_enforced_everywhere(self, scheduler_cls):
-        system = VirtualizedSystem(scheduler_cls())
-        vm = system.create_vm(
-            VmConfig(name="b", workload=self._bursty(), llc_cap=50_000.0,
-                     pinned_cores=[0])
-        )
-        system.run_ticks(150)
-        scheduler = system.scheduler
-        if isinstance(scheduler, MemGuardScheduler):
-            assert scheduler.budget_of(vm).throttle_events > 0
-        else:
-            assert scheduler.kyoto.punishments(vm) > 0
-
-    def test_quiet_phase_not_pre_punished(self):
-        system = VirtualizedSystem(KS4Xen())
-        vm = system.create_vm(
-            VmConfig(name="b", workload=self._bursty(), llc_cap=50_000.0,
-                     pinned_cores=[0])
-        )
-        system.run_ticks(8)  # still in the quiet phase
-        assert system.scheduler.kyoto.punishments(vm) == 0

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.cachesim.perfmodel import CacheBehavior
 from repro.hardware.specs import numa_machine
 from repro.hypervisor.system import HypervisorError, VirtualizedSystem
 from repro.hypervisor.vm import VmConfig
 from repro.pmc.counters import PmcEvent
+from repro.schedulers.cfs import CfsScheduler
 from repro.schedulers.credit import CreditScheduler
-from repro.workloads.phased import Phase, PhasedWorkload
+from repro.schedulers.rtds import RtdsScheduler
 from repro.workloads.profiles import application_workload
 
 from conftest import make_vm
@@ -191,78 +191,32 @@ class TestPmcReferences:
         )
 
 
-class TestFootprintCapSampling:
-    def test_cap_comes_from_pre_execution_phase(self, xcs_system):
-        """The cap handed to relax() must belong to the behavior that
-        produced the sub-step's misses.
-
-        Regression test: the cap used to be re-sampled after execution,
-        so a phase transition inside a sub-step paired this phase's
-        insertions with the next phase's (here much smaller) cap.  Also
-        pins the behavior_at dedup: exactly one sample per sub-step.
-        """
-        big = CacheBehavior(wss_lines=100_000.0, lapki=30.0)
-        small = CacheBehavior(
-            wss_lines=100_000.0,
-            lapki=30.0,
-            pollution_footprint_lines=2_000.0,
+class TestFinishRefill:
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    @pytest.mark.parametrize(
+        "scheduler_cls", [CreditScheduler, CfsScheduler, RtdsScheduler]
+    )
+    def test_finishing_vm_hands_core_over_in_same_tick(
+        self, scheduler_cls, engine
+    ):
+        """A finite VM that finishes mid-tick vacates its core, and the
+        scheduler's ``refill_core`` runs the queued VM for the rest of
+        that tick instead of leaving the core idle until the next."""
+        system = VirtualizedSystem(scheduler_cls(), tick_engine=engine)
+        short = system.create_vm(
+            VmConfig(
+                name="short",
+                workload=application_workload("povray", total_instructions=1e6),
+                pinned_cores=[0],
+            )
         )
-        workload = PhasedWorkload(
-            "ab", [Phase(big, 2e7), Phase(small, 2e7)]
-        )
-        vm = xcs_system.create_vm(
-            VmConfig(name="phased", workload=workload, pinned_cores=[0])
-        )
-        vcpu = vm.vcpus[0]
-        domain = xcs_system.llc_domains[0]
-
-        sampled = []
-        real_behavior_at = workload.behavior_at
-
-        def spy_behavior_at(done):
-            sampled.append(done)
-            return real_behavior_at(done)
-
-        workload.behavior_at = spy_behavior_at
-
-        relaxed = []
-        real_relax = domain.relax
-
-        def spy_relax(pressures, caps):
-            # The behavior sample always precedes the relaxation within
-            # a sub-step, so sampled[-1] is this sub-step's sample.
-            relaxed.append((sampled[-1], dict(caps)))
-            return real_relax(pressures, caps)
-
-        domain.relax = spy_relax
-
-        xcs_system.run_ticks(30)
-
-        # Exactly one behavior sample per executed sub-step (the second,
-        # post-execution call is gone).  Relax-call counts are not a
-        # sub-step proxy: the batch engine elides provably no-op
-        # relaxations.
-        assert len(sampled) == 30 * xcs_system.substeps_per_tick
-        assert 0 < len(relaxed) <= len(sampled)
-        # Every relax cap equals the footprint of the pre-execution
-        # sample of the same sub-step — including at phase crossings,
-        # where the post-execution sample would disagree.
-        for before, caps in relaxed:
-            expected = real_behavior_at(before).footprint_cap_lines
-            assert caps[vcpu.gid] == expected
-        # The run actually exercised a phase transition, and relax was
-        # invoked in both phases (a crossing sub-step always relaxes —
-        # the behavior change defeats the elision).
-        crossings = sum(
-            1
-            for a, b in zip(sampled, sampled[1:])
-            if workload.phase_index_at(a) != workload.phase_index_at(b)
-        )
-        assert crossings > 0
-        relaxed_phases = {
-            workload.phase_index_at(before) for before, _ in relaxed
-        }
-        assert len(relaxed_phases) > 1
+        queued = make_vm(system, "queued", app="povray", core=0)
+        system.run_ticks(1)
+        # Both ran on core 0 in tick 0: the short VM first (the queued
+        # hog never yields mid-tick), then the queued one after it.
+        assert short.finished
+        assert system.last_tick_cycles[short.vcpus[0].gid] > 0
+        assert system.last_tick_cycles.get(queued.vcpus[0].gid, 0) > 0
 
 
 class TestObservers:

@@ -124,7 +124,7 @@ def _reference_steal(scheduler, core_id):
 
 
 #: What a queued vCPU is doing when an idle core looks for work.
-STATES = ("waiting", "running", "blocked", "paused", "parked")
+STATES = ("waiting", "running", "finished", "paused", "parked")
 
 #: Home cores: three on socket 0 and two on socket 1, so runqueues are
 #: often several vCPUs deep and the walk order decides the steal.
@@ -147,10 +147,13 @@ def _queued_system(vcpu_specs):
     )
     scheduler = system.scheduler
     for index, (home, pinned, state, credits) in enumerate(vcpu_specs):
+        # A finished vCPU ran a finite workload to its end: neither
+        # runnable nor paused.
+        total = 1e6 if state == "finished" else None
         vm = system.create_vm(
             VmConfig(
                 name=f"q{index}",
-                workload=application_workload("gcc"),
+                workload=application_workload("gcc", total_instructions=total),
                 pinned_cores=[home] if pinned else None,
                 llc_cap=100_000,
             )
@@ -160,8 +163,9 @@ def _queued_system(vcpu_specs):
         scheduler.accounts[vcpu.gid].credits = credits
         if state == "running":
             vcpu.current_core = home
-        elif state == "blocked":
-            vcpu.blocked_until_usec = 1_000
+        elif state == "finished":
+            vcpu.progress.instructions_done = total
+            assert not vcpu.runnable and not vcpu.paused
         elif state == "paused":
             vcpu.paused = True
         elif state == "parked":
@@ -192,14 +196,14 @@ class TestStealMatchesReference:
         )
 
     def test_every_predicate_skips_its_vcpu(self):
-        """Deterministic pin: a pinned, a running, a blocked, a paused, a
+        """Deterministic pin: a pinned, a running, a finished, a paused, a
         parked and an OVER vCPU queue ahead of the first stealable vCPU
         on core 1, a second one queues behind it, and a stealable vCPU
         waits on the remote socket."""
         specs = [
             (1, True, "waiting", 300.0),
             (1, False, "running", 300.0),
-            (1, False, "blocked", 300.0),
+            (1, False, "finished", 300.0),
             (1, False, "paused", 300.0),
             (1, False, "parked", 300.0),
             (1, False, "waiting", -0.5),

@@ -29,9 +29,9 @@ single summary (see docs/telemetry.md).
 names; a file with a ``[sweep]`` table expands into one experiment per
 grid point.  The ``scenario`` subcommand works with the files
 themselves: ``list`` a directory, ``validate`` files, ``show`` the
-canonical form of one point, ``run`` files (same engine as ``run``).
+canonical form of one point.
 
-``--stream DIR`` (on ``run``, ``scenario run`` and ``serve``) spools
+``--stream DIR`` (on ``run`` and ``serve``) spools
 every telemetry series point to a full-resolution on-disk stream
 (schema ``repro.telemetry.stream/1``, docs/telemetry.md) so long soaks
 keep bounded memory with zero resolution loss, and ``report`` turns
@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "experiments",
         nargs="+",
-        help="experiment names (see 'list'), or 'all'",
+        help="experiment names, scenario/sweep files, or 'all'",
     )
     run_parser.add_argument(
         "--jobs",
@@ -253,39 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("toml", "json"),
         default="toml",
         help="serialization to print (default: toml)",
-    )
-    sc_run = scenario_sub.add_parser(
-        "run", help="run scenario files (same engine as 'repro run')"
-    )
-    sc_run.add_argument(
-        "files", nargs="+", help="scenario files or file#index sweep points"
-    )
-    sc_run.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes (default 1 = serial; output is identical)",
-    )
-    sc_run.add_argument(
-        "--json",
-        dest="json_dir",
-        metavar="DIR",
-        help="write one JSON artifact per scenario point into DIR",
-    )
-    sc_run.add_argument(
-        "--timeout-sec",
-        dest="timeout_sec",
-        type=float,
-        default=None,
-        metavar="SEC",
-        help="per-scenario watchdog (see 'repro run --timeout-sec')",
-    )
-    sc_run.add_argument(
-        "--stream",
-        dest="stream_dir",
-        metavar="DIR",
-        help="full-resolution telemetry streams (see 'repro run --stream')",
     )
     serve_parser = subparsers.add_parser(
         "serve",
@@ -619,21 +586,12 @@ def show_scenario(token: str, fmt: str, out=sys.stdout) -> int:
 
 
 def run_scenario_command(args, out=sys.stdout) -> int:
-    """Dispatch ``repro scenario list | validate | show | run``."""
+    """Dispatch ``repro scenario list | validate | show``."""
     if args.scenario_command == "list":
         return list_scenarios(args.directory, out=out)
     if args.scenario_command == "validate":
         return validate_scenarios(args.files, out=out)
-    if args.scenario_command == "show":
-        return show_scenario(args.file, args.format, out=out)
-    return run_experiments(
-        args.files,
-        out=out,
-        jobs=args.jobs,
-        json_dir=args.json_dir,
-        timeout_sec=args.timeout_sec,
-        stream_dir=args.stream_dir,
-    )
+    return show_scenario(args.file, args.format, out=out)
 
 
 def run_herd_command(args, out=sys.stdout) -> int:
@@ -691,7 +649,7 @@ def run_serve(args, out=sys.stdout) -> int:
     if spec.service is None:
         sys.stderr.write(
             f"repro serve: error: {args.spec} has no [service] section; "
-            "add one (docs/service.md) or use 'repro scenario run'\n"
+            "add one (docs/service.md) or use 'repro run'\n"
         )
         return 2
     if args.ticks < 0:

@@ -5,7 +5,9 @@ The on-disk document is a plain nested mapping carrying
 document — fields equal to their schema default are omitted — and
 :func:`from_dict` restores the exact same :class:`ScenarioSpec`, so
 ``from_dict(to_dict(spec)) == spec`` for every valid spec (the
-round-trip property test pins this for TOML and JSON).
+round-trip property test pins this for TOML and JSON).  Both directions
+walk the spec dataclasses, so each field's name, type and default is
+declared once, in :mod:`repro.scenario.spec`.
 
 TOML reading uses :mod:`tomllib` (Python 3.11+); on older interpreters
 TOML entry points raise a clear :class:`ScenarioError` while the JSON
@@ -17,299 +19,144 @@ arrays) that a small emitter below covers it.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, fields, is_dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import MISSING, Field, fields, is_dataclass
+from typing import (
+    Any,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 try:  # Python 3.11+
     import tomllib
 except ImportError:  # pragma: no cover - exercised only on Python < 3.11
     tomllib = None  # type: ignore[assignment]
 
-from .spec import (
-    SCENARIO_SCHEMA,
-    AdmissionSpec,
-    ArrivalSpec,
-    FaultSiteSpec,
-    FaultsSpec,
-    LifetimeSpec,
-    MachineSpecChoice,
-    MigrationSpec,
-    MonitorSpec,
-    ProtocolSpec,
-    ScenarioError,
-    ScenarioSpec,
-    SchedulerChoice,
-    ServiceSpec,
-    ServiceTemplateSpec,
-    SystemSpec,
-    TelemetrySpec,
-    VmSpec,
-    WorkloadSpec,
-)
+from .spec import ScenarioError, ScenarioSpec
 
 
 # -- dict -> spec -------------------------------------------------------------
 
+#: What a present value of each scalar field type must be (error text).
+_EXPECTED = {
+    str: "a string",
+    bool: "a boolean",
+    int: "an integer",
+    float: "a number",
+    Tuple[str, ...]: "a list of strings",
+    Tuple[int, ...]: "a list of integers",
+    Tuple[Tuple[int, int], ...]: "a list of [start_tick, end_tick] pairs",
+}
 
-class _Reader:
-    """Strict, path-annotated reader over one mapping."""
 
-    def __init__(self, data: Mapping[str, Any], path: str, errors: List[str]) -> None:
-        if not isinstance(data, Mapping):
-            raise ScenarioError([f"{path}: expected a table, got {type(data).__name__}"])
-        self.data = data
-        self.path = path
-        self.errors = errors
-        self.seen: set = set()
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
-    def _get(self, key: str, default: Any) -> Any:
-        self.seen.add(key)
-        return self.data.get(key, default)
 
-    def _fail(self, key: str, message: str) -> None:
-        self.errors.append(f"{self._at(key)}: {message}")
+def _is_list(value: Any) -> bool:
+    return isinstance(value, Sequence) and not isinstance(value, str)
 
-    def _at(self, key: str) -> str:
-        return f"{self.path}.{key}" if self.path else key
 
-    def str_(self, key: str, default: str = "") -> str:
-        value = self._get(key, default)
-        if not isinstance(value, str):
-            self._fail(key, f"expected a string, got {value!r}")
-            return default
-        return value
+def _spec_class(hint: Any) -> Optional[type]:
+    """The spec class a table-valued field holds (``None`` for a scalar)."""
+    for candidate in (hint, *get_args(hint)):
+        if is_dataclass(candidate):
+            return candidate
+    return None
 
-    def opt_str(self, key: str) -> Optional[str]:
-        value = self._get(key, None)
-        if value is not None and not isinstance(value, str):
-            self._fail(key, f"expected a string, got {value!r}")
-            return None
-        return value
 
-    def bool_(self, key: str, default: bool) -> bool:
-        value = self._get(key, default)
-        if not isinstance(value, bool):
-            self._fail(key, f"expected a boolean, got {value!r}")
-            return default
-        return value
+def _coerce(value: Any, hint: Any) -> Any:
+    """``value`` as the scalar type ``hint``, or ``TypeError``.
 
-    def int_(self, key: str, default: int) -> int:
-        value = self._get(key, default)
-        if isinstance(value, bool) or not isinstance(value, int):
-            self._fail(key, f"expected an integer, got {value!r}")
-            return default
-        return value
-
-    def opt_int(self, key: str) -> Optional[int]:
-        value = self._get(key, None)
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, int):
-            self._fail(key, f"expected an integer, got {value!r}")
-            return None
-        return value
-
-    def float_(self, key: str, default: float) -> float:
-        value = self._get(key, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self._fail(key, f"expected a number, got {value!r}")
-            return default
+    Integers widen to ``float`` and lists become tuples; a bool is never
+    a number.
+    """
+    if get_origin(hint) is tuple:
+        args = get_args(hint)
+        if not _is_list(value):
+            raise TypeError(hint)
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(args) != len(value):
+            raise TypeError(hint)
+        return tuple(_coerce(item, arg) for item, arg in zip(value, args))
+    if isinstance(value, bool) and hint is not bool:
+        raise TypeError(hint)
+    if hint is float and isinstance(value, int):
         return float(value)
+    if not isinstance(value, hint):
+        raise TypeError(hint)
+    return value
 
-    def opt_float(self, key: str) -> Optional[float]:
-        value = self._get(key, None)
-        if value is None:
+
+def _read_field(
+    f: Field, hint: Any, data: Mapping[str, Any], path: str, errors: List[str]
+) -> Any:
+    """One field's value; problems go to ``errors`` (the value is then moot).
+
+    An absent key takes the dataclass default.  A required table that is
+    absent is an error; a required string reads as ``""`` and is left to
+    ``validate()``.  ``null`` reads as absent for a table or an
+    ``Optional`` field and is a type error anywhere else.
+    """
+    value = data.get(f.name)
+    optional = type(None) in get_args(hint)
+    if optional:
+        hint = next(arg for arg in get_args(hint) if arg is not type(None))
+    spec_cls = _spec_class(hint)
+    is_table = spec_cls is not None and get_origin(hint) is not tuple
+    if f.name not in data or (value is None and (optional or is_table)):
+        if f.default is not MISSING:
+            return f.default
+        if f.default_factory is not MISSING:  # type: ignore[misc]
+            return f.default_factory()  # type: ignore[misc]
+        if spec_cls is not None:
+            errors.append(f"{path}: missing required table")
+        return hint()
+    if spec_cls is None:
+        try:
+            return _coerce(value, hint)
+        except TypeError:
+            errors.append(f"{path}: expected {_EXPECTED[hint]}, got {value!r}")
             return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self._fail(key, f"expected a number, got {value!r}")
-            return None
-        return float(value)
-
-    def opt_int_list(self, key: str) -> Optional[Tuple[int, ...]]:
-        value = self._get(key, None)
-        if value is None:
-            return None
-        if not isinstance(value, Sequence) or isinstance(value, str) or any(
-            isinstance(v, bool) or not isinstance(v, int) for v in value
-        ):
-            self._fail(key, f"expected a list of integers, got {value!r}")
-            return None
-        return tuple(value)
-
-    def str_list(self, key: str, default: Tuple[str, ...]) -> Tuple[str, ...]:
-        value = self._get(key, default)
-        if not isinstance(value, Sequence) or isinstance(value, str) or any(
-            not isinstance(v, str) for v in value
-        ):
-            self._fail(key, f"expected a list of strings, got {value!r}")
-            return default
-        return tuple(value)
-
-    def windows(self, key: str) -> Tuple[Tuple[int, int], ...]:
-        value = self._get(key, ())
-        ok = isinstance(value, Sequence) and not isinstance(value, str) and all(
-            isinstance(w, Sequence)
-            and not isinstance(w, str)
-            and len(w) == 2
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in w)
-            for w in value
-        )
-        if not ok:
-            self._fail(
-                key, f"expected a list of [start_tick, end_tick] pairs, got {value!r}"
-            )
-            return ()
-        return tuple((w[0], w[1]) for w in value)
-
-    def table(self, key: str) -> Optional["_Reader"]:
-        value = self._get(key, None)
-        if value is None:
-            return None
-        if not isinstance(value, Mapping):
-            self._fail(key, f"expected a table, got {value!r}")
-            return None
-        return _Reader(value, self._at(key), self.errors)
-
-    def tables(self, key: str) -> List["_Reader"]:
-        value = self._get(key, ())
-        if not isinstance(value, Sequence) or isinstance(value, str) or any(
-            not isinstance(v, Mapping) for v in value
-        ):
-            self._fail(key, f"expected an array of tables, got {value!r}")
-            return []
-        return [
-            _Reader(v, f"{self._at(key)}[{i}]", self.errors)
-            for i, v in enumerate(value)
-        ]
-
-    def check_unknown(self) -> None:
-        unknown = sorted(set(self.data) - self.seen)
-        for key in unknown:
-            self._fail(key, "unknown key")
-
-
-def _read_workload(reader: _Reader) -> WorkloadSpec:
-    spec = WorkloadSpec(
-        kind=reader.str_("kind", "application"),
-        app=reader.opt_str("app"),
-        wss_bytes=reader.opt_int("wss_bytes"),
-        disruptive=reader.bool_("disruptive", False),
-        total_instructions=reader.opt_float("total_instructions"),
+    if is_table:
+        if isinstance(value, Mapping):
+            return _read_table(spec_cls, value, path, errors)
+        errors.append(f"{path}: expected a table, got {value!r}")
+        return None
+    if not _is_list(value) or not all(isinstance(item, Mapping) for item in value):
+        errors.append(f"{path}: expected an array of tables, got {value!r}")
+        return None
+    return tuple(
+        _read_table(spec_cls, item, f"{path}[{i}]", errors)
+        for i, item in enumerate(value)
     )
-    reader.check_unknown()
-    return spec
 
 
-def _read_vm(reader: _Reader) -> VmSpec:
-    workload_reader = reader.table("workload")
-    if workload_reader is None:
-        reader.errors.append(f"{reader.path}.workload: missing required table")
-        workload = WorkloadSpec()
-    else:
-        workload = _read_workload(workload_reader)
-    spec = VmSpec(
-        name=reader.str_("name"),
-        workload=workload,
-        count=reader.int_("count", 1),
-        num_vcpus=reader.int_("num_vcpus", 1),
-        weight=reader.int_("weight", 256),
-        cap_percent=reader.opt_float("cap_percent"),
-        llc_cap=reader.opt_float("llc_cap"),
-        memory_node=reader.int_("memory_node", 0),
-        pinned_cores=reader.opt_int_list("pinned_cores"),
-    )
-    reader.check_unknown()
-    return spec
+def _read_table(
+    cls: type, data: Mapping[str, Any], path: str, errors: List[str]
+) -> Any:
+    """Read one table into the spec class ``cls``, collecting errors.
 
-
-def _read_faults(reader: _Reader) -> FaultsSpec:
-    sites = []
-    for site_reader in reader.tables("sites"):
-        sites.append(
-            FaultSiteSpec(
-                site=site_reader.str_("site"),
-                probability=site_reader.float_("probability", 0.0),
-                burst=site_reader.int_("burst", 1),
-                windows=site_reader.windows("windows"),
-            )
-        )
-        site_reader.check_unknown()
-    spec = FaultsSpec(
-        uniform_rate=reader.opt_float("uniform_rate"),
-        burst=reader.int_("burst", 1),
-        sites=tuple(sites),
-        stream=reader.str_("stream", "faults.plan"),
-    )
-    reader.check_unknown()
-    return spec
-
-
-def _read_service(reader: _Reader) -> ServiceSpec:
-    arrivals = ArrivalSpec()
-    arrivals_reader = reader.table("arrivals")
-    if arrivals_reader is not None:
-        arrivals = ArrivalSpec(
-            process=arrivals_reader.str_("process", "poisson"),
-            rate_per_tick=arrivals_reader.float_("rate_per_tick", 0.01),
-            burst_probability=arrivals_reader.float_("burst_probability", 0.0),
-            burst_size=arrivals_reader.int_("burst_size", 3),
-            diurnal_amplitude=arrivals_reader.float_("diurnal_amplitude", 0.0),
-            diurnal_period_ticks=arrivals_reader.int_("diurnal_period_ticks", 0),
-        )
-        arrivals_reader.check_unknown()
-
-    lifetime = LifetimeSpec()
-    lifetime_reader = reader.table("lifetime")
-    if lifetime_reader is not None:
-        lifetime = LifetimeSpec(
-            kind=lifetime_reader.str_("kind", "exponential"),
-            mean_ticks=lifetime_reader.float_("mean_ticks", 1_000.0),
-            sigma=lifetime_reader.float_("sigma", 0.5),
-        )
-        lifetime_reader.check_unknown()
-
-    admission = AdmissionSpec()
-    admission_reader = reader.table("admission")
-    if admission_reader is not None:
-        admission = AdmissionSpec(
-            policy=admission_reader.str_("policy", "naive"),
-            max_vcpus=admission_reader.opt_int("max_vcpus"),
-            llc_budget=admission_reader.opt_float("llc_budget"),
-        )
-        admission_reader.check_unknown()
-
-    templates = []
-    for template_reader in reader.tables("templates"):
-        workload_reader = template_reader.table("workload")
-        if workload_reader is None:
-            template_reader.errors.append(
-                f"{template_reader.path}.workload: missing required table"
-            )
-            workload = WorkloadSpec()
-        else:
-            workload = _read_workload(workload_reader)
-        templates.append(
-            ServiceTemplateSpec(
-                name=template_reader.str_("name"),
-                workload=workload,
-                num_vcpus=template_reader.int_("num_vcpus", 1),
-                weight=template_reader.int_("weight", 256),
-                cap_percent=template_reader.opt_float("cap_percent"),
-                llc_cap=template_reader.opt_float("llc_cap"),
-                memory_node=template_reader.int_("memory_node", 0),
-            )
-        )
-        template_reader.check_unknown()
-
-    spec = ServiceSpec(
-        arrivals=arrivals,
-        lifetime=lifetime,
-        admission=admission,
-        templates=tuple(templates),
-        drain_at_end=reader.bool_("drain_at_end", True),
-    )
-    reader.check_unknown()
-    return spec
+    Table-valued fields are read before scalars, each group in
+    declaration order, and unknown keys are reported last, so a nested
+    table's problems come before those of the table that holds it.
+    """
+    hints = get_type_hints(cls)
+    ordered = sorted(fields(cls), key=lambda f: _spec_class(hints[f.name]) is None)
+    values = {
+        f.name: _read_field(f, hints[f.name], data, _at(path, f.name), errors)
+        for f in ordered
+    }
+    for key in sorted(set(data) - set(values)):
+        errors.append(f"{_at(path, key)}: unknown key")
+    return cls(**values)
 
 
 def from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
@@ -319,120 +166,10 @@ def from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
     and raised together as one :class:`ScenarioError` so a bad file
     reports every problem in a single pass.
     """
+    if not isinstance(data, Mapping):
+        raise ScenarioError([f": expected a table, got {type(data).__name__}"])
     errors: List[str] = []
-    root = _Reader(data, "", errors)
-
-    machine = MachineSpecChoice()
-    machine_reader = root.table("machine")
-    if machine_reader is not None:
-        machine = MachineSpecChoice(preset=machine_reader.str_("preset", "paper"))
-        machine_reader.check_unknown()
-
-    scheduler = SchedulerChoice()
-    scheduler_reader = root.table("scheduler")
-    if scheduler_reader is not None:
-        scheduler = SchedulerChoice(
-            kind=scheduler_reader.str_("kind", "xcs"),
-            quota_max_factor=scheduler_reader.float_("quota_max_factor", 3.0),
-            monitor_period_ticks=scheduler_reader.int_("monitor_period_ticks", 1),
-            quota_min_factor=scheduler_reader.opt_float("quota_min_factor"),
-        )
-        scheduler_reader.check_unknown()
-
-    system = SystemSpec()
-    system_reader = root.table("system")
-    if system_reader is not None:
-        system = SystemSpec(
-            tick_usec=system_reader.int_("tick_usec", 10_000),
-            ticks_per_slice=system_reader.int_("ticks_per_slice", 3),
-            substeps_per_tick=system_reader.int_("substeps_per_tick", 10),
-            context_switch_cost_cycles=system_reader.int_(
-                "context_switch_cost_cycles", 20_000
-            ),
-            perf_jitter_fraction=system_reader.float_("perf_jitter_fraction", 0.0),
-            seed=system_reader.int_("seed", 0),
-        )
-        system_reader.check_unknown()
-
-    monitor = MonitorSpec()
-    monitor_reader = root.table("monitor")
-    if monitor_reader is not None:
-        monitor = MonitorSpec(
-            strategy=monitor_reader.str_("strategy", "default"),
-            sample_ticks=monitor_reader.int_("sample_ticks", 1),
-            chain=monitor_reader.str_list("chain", ("replay", "dedication", "direct")),
-            retries=monitor_reader.int_("retries", 1),
-            replay_refresh_every=monitor_reader.int_("replay_refresh_every", 50),
-            replay_max_report_age=monitor_reader.opt_int("replay_max_report_age"),
-        )
-        monitor_reader.check_unknown()
-
-    vms = tuple(_read_vm(vm_reader) for vm_reader in root.tables("vms"))
-
-    faults = None
-    faults_reader = root.table("faults")
-    if faults_reader is not None:
-        faults = _read_faults(faults_reader)
-
-    migration = None
-    migration_reader = root.table("migration")
-    if migration_reader is not None:
-        migration = MigrationSpec(
-            home_core=migration_reader.int_("home_core", 0),
-            remote_core=migration_reader.int_("remote_core", 4),
-            period_ticks=migration_reader.int_("period_ticks", 10),
-            min_dwell_ticks=migration_reader.int_("min_dwell_ticks", 1),
-            max_dwell_ticks=migration_reader.int_("max_dwell_ticks", 3),
-            seed=migration_reader.int_("seed", 0),
-            vm=migration_reader.opt_str("vm"),
-        )
-        migration_reader.check_unknown()
-
-    protocol = ProtocolSpec()
-    protocol_reader = root.table("protocol")
-    if protocol_reader is not None:
-        protocol = ProtocolSpec(
-            mode=protocol_reader.str_("mode", "measure"),
-            warmup_ticks=protocol_reader.int_("warmup_ticks", ProtocolSpec.warmup_ticks),
-            measure_ticks=protocol_reader.int_(
-                "measure_ticks", ProtocolSpec.measure_ticks
-            ),
-            max_ticks=protocol_reader.int_("max_ticks", ProtocolSpec.max_ticks),
-            target_vm=protocol_reader.opt_str("target_vm"),
-            solo_baseline=protocol_reader.bool_("solo_baseline", False),
-        )
-        protocol_reader.check_unknown()
-
-    telemetry = TelemetrySpec()
-    telemetry_reader = root.table("telemetry")
-    if telemetry_reader is not None:
-        telemetry = TelemetrySpec(
-            enabled=telemetry_reader.bool_("enabled", True),
-            series_capacity=telemetry_reader.int_("series_capacity", 512),
-        )
-        telemetry_reader.check_unknown()
-
-    service = None
-    service_reader = root.table("service")
-    if service_reader is not None:
-        service = _read_service(service_reader)
-
-    spec = ScenarioSpec(
-        name=root.str_("name"),
-        description=root.str_("description", ""),
-        schema=root.str_("schema", SCENARIO_SCHEMA),
-        machine=machine,
-        scheduler=scheduler,
-        system=system,
-        monitor=monitor,
-        vms=vms,
-        faults=faults,
-        migration=migration,
-        protocol=protocol,
-        telemetry=telemetry,
-        service=service,
-    )
-    root.check_unknown()
+    spec = _read_table(ScenarioSpec, data, "", errors)
     if errors:
         raise ScenarioError(errors)
     return spec.validate()
@@ -633,7 +370,7 @@ def load_scenario(path: str) -> ScenarioSpec:
             [
                 f"{path} defines a [sweep]; expand it with "
                 "repro.scenario.sweep.expand_document (or run it through "
-                "'repro scenario run' / 'repro run')"
+                "'repro run')"
             ]
         )
     return from_dict(data)

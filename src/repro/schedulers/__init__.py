@@ -10,7 +10,7 @@ from repro.lazy import lazy_exports
 _EXPORTS = {
     "base": ("Scheduler",),
     "cfs": ("CfsAccount", "CfsScheduler", "NICE0_WEIGHT"),
-    "credit": ("CREDITS_PER_TICK", "CreditAccount", "CreditScheduler", "Priority"),
+    "credit": ("CREDITS_PER_TICK", "CreditAccount", "CreditScheduler"),
     "rtds": ("RtServer", "RtdsScheduler"),
 }
 

@@ -22,7 +22,6 @@ permit, exactly as the paper layers it on XCS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from .base import Scheduler
@@ -34,13 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover
 CREDITS_PER_TICK = 100
 
 
-class Priority(Enum):
-    """XCS vCPU priorities."""
-
-    UNDER = "UNDER"
-    OVER = "OVER"
-
-
 @dataclass
 class CreditAccount:
     """Scheduling state of one vCPU under XCS."""
@@ -48,10 +40,6 @@ class CreditAccount:
     credits: float
     weight: int
     cap_percent: Optional[float]
-
-    @property
-    def priority(self) -> Priority:
-        return Priority.UNDER if self.credits > 0 else Priority.OVER
 
 
 class CreditScheduler(Scheduler):

@@ -202,7 +202,7 @@ class TestCli:
     def test_scenario_run_writes_artifacts(self, tmp_path):
         path = _write_json(tmp_path, _tiny_doc())
         art = tmp_path / "art"
-        assert main(["scenario", "run", path, "--json", str(art)]) == 0
+        assert main(["run", path, "--json", str(art)]) == 0
         artifact = json.loads((art / "tiny.json").read_text())
         assert artifact["schema"] == "repro.artifact/1"
         assert artifact["ok"]

@@ -192,3 +192,122 @@ class TestFromDictErrors:
                 }
             )
         assert "repro.scenario/1" in str(excinfo.value)
+
+
+_VM = {"name": "v", "workload": {"app": "gcc"}}
+
+
+def _doc(**overrides):
+    doc = {"schema": "repro.scenario/1", "name": "x", "vms": [_VM]}
+    doc.update(overrides)
+    return doc
+
+
+def _read_errors(doc):
+    with pytest.raises(ScenarioError) as excinfo:
+        from_dict(doc)
+    return excinfo.value.errors
+
+
+class TestReaderErrorLists:
+    """The reader's complete error list, in order, per message kind."""
+
+    @pytest.mark.parametrize(
+        "doc, expected",
+        [
+            pytest.param(
+                _doc(name=5), ["name: expected a string, got 5"], id="string"
+            ),
+            pytest.param(
+                _doc(vms=[{"name": "v",
+                           "workload": {"app": "gcc", "disruptive": "yes"}}]),
+                ["vms[0].workload.disruptive: expected a boolean, got 'yes'"],
+                id="boolean",
+            ),
+            pytest.param(
+                _doc(system={"tick_usec": "fast", "seed": True}),
+                [
+                    "system.tick_usec: expected an integer, got 'fast'",
+                    "system.seed: expected an integer, got True",
+                ],
+                id="integer",
+            ),
+            pytest.param(
+                _doc(scheduler={"quota_max_factor": "3",
+                                "quota_min_factor": False}),
+                [
+                    "scheduler.quota_max_factor: expected a number, got '3'",
+                    "scheduler.quota_min_factor: expected a number, got False",
+                ],
+                id="number",
+            ),
+            pytest.param(
+                _doc(vms=[dict(_VM, pinned_cores=[0, "1"])]),
+                ["vms[0].pinned_cores: expected a list of integers, "
+                 "got [0, '1']"],
+                id="integer-list",
+            ),
+            pytest.param(
+                _doc(monitor={"chain": ["replay", 2]}),
+                ["monitor.chain: expected a list of strings, "
+                 "got ['replay', 2]"],
+                id="string-list",
+            ),
+            pytest.param(
+                _doc(faults={"sites": [{"site": "replay.unavailable",
+                                        "windows": [[0, 5], [7]]}]}),
+                ["faults.sites[0].windows: expected a list of "
+                 "[start_tick, end_tick] pairs, got [[0, 5], [7]]"],
+                id="windows",
+            ),
+            pytest.param(
+                _doc(machine="paper"),
+                ["machine: expected a table, got 'paper'"],
+                id="table",
+            ),
+            pytest.param(
+                _doc(vms=[_VM, 3]),
+                ["vms: expected an array of tables, got "
+                 "[{'name': 'v', 'workload': {'app': 'gcc'}}, 3]"],
+                id="table-array",
+            ),
+            pytest.param(
+                _doc(vms=[{"name": "v"}]),
+                ["vms[0].workload: missing required table"],
+                id="missing-table",
+            ),
+            pytest.param(
+                _doc(turbo=True, vms=[dict(_VM, color="red")]),
+                ["vms[0].color: unknown key", "turbo: unknown key"],
+                id="unknown-key",
+            ),
+            pytest.param(
+                _doc(name=None, description=1,
+                     vms=[{"name": 2, "workload": {"app": 3, "wss": 1}}]),
+                [
+                    "vms[0].workload.app: expected a string, got 3",
+                    "vms[0].workload.wss: unknown key",
+                    "vms[0].name: expected a string, got 2",
+                    "name: expected a string, got None",
+                    "description: expected a string, got 1",
+                ],
+                id="nested-before-root",
+            ),
+            pytest.param(
+                _doc(vms=[_VM, {"name": "w", "workload": [1]}]),
+                ["vms[1].workload: expected a table, got [1]"],
+                id="non-table-workload",
+            ),
+            pytest.param(
+                {"schema": "repro.scenario/1", "name": "x",
+                 "service": {"templates": [{"name": "t", "workload": [1]}]}},
+                ["service.templates[0].workload: expected a table, got [1]"],
+                id="non-table-template-workload",
+            ),
+            pytest.param(
+                [1], [": expected a table, got list"], id="non-mapping-root"
+            ),
+        ],
+    )
+    def test_error_list(self, doc, expected):
+        assert _read_errors(doc) == expected

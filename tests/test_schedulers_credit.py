@@ -4,7 +4,7 @@ import pytest
 
 from repro.hypervisor.system import VirtualizedSystem
 from repro.hypervisor.vm import VmConfig
-from repro.schedulers.credit import CREDITS_PER_TICK, CreditScheduler, Priority
+from repro.schedulers.credit import CREDITS_PER_TICK, CreditScheduler
 from repro.workloads.profiles import application_workload
 
 from conftest import make_vm
@@ -120,14 +120,6 @@ class TestCaps:
 
 
 class TestPriorities:
-    def test_priority_follows_credits(self, xcs_system):
-        vm = make_vm(xcs_system)
-        account = xcs_system.scheduler.account(vm.vcpus[0])
-        account.credits = 10
-        assert account.priority is Priority.UNDER
-        account.credits = 0
-        assert account.priority is Priority.OVER
-
     def test_credits_bounded(self, xcs_system):
         vm = make_vm(xcs_system)
         xcs_system.run_ticks(60)

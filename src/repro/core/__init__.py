@@ -1,5 +1,6 @@
 """The Kyoto contribution: pollution permits, equation 1, monitoring, and
-the KS4Xen / KS4Linux scheduler extensions.
+the scheduler ports (KS4Xen, KS4Linux, KS4RTDS; KS4Pisces lives in
+:mod:`repro.pisces`), all built on the one ``KyotoScheduler`` mixin.
 
 Every name below is importable from this package; its submodule is
 imported on first access (:mod:`repro.lazy`).
@@ -8,7 +9,7 @@ imported on first access (:mod:`repro.lazy`).
 from repro.lazy import lazy_exports
 
 _EXPORTS = {
-    "engine": ("KyotoEngine",),
+    "engine": ("KyotoEngine", "KyotoScheduler"),
     "equation": ("llc_cap_act", "llcm_indicator"),
     "instances": (
         "CATALOG",

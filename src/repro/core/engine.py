@@ -1,14 +1,16 @@
-"""The Kyoto enforcement engine.
+"""The Kyoto enforcement engine and the one scheduler mixin every port uses.
 
-Glue shared by every Kyoto scheduler (KS4Xen, KS4Linux, KS4Pisces): it
-owns the per-VM :class:`~repro.core.pollution.PollutionAccount` objects,
-drives the monitor at each monitoring period, debits quotas, and answers
-the one question schedulers ask — *is this VM currently allowed to use
-the processor?*
+:class:`KyotoEngine` owns the per-VM
+:class:`~repro.core.pollution.PollutionAccount` objects, drives the
+monitor at each monitoring period, debits quotas, and answers the one
+question schedulers ask — *is this VM currently allowed to use the
+processor?*
 
-Keeping this logic in one place mirrors the paper's claim that the
-approach "can easily be implemented within other systems": each port is
-the scheduler-specific ~100 LOC that calls into this engine.
+:class:`KyotoScheduler` is the only copy of the glue between a scheduler
+and that engine.  Each of the four ports — KS4Xen (Xen credit), KS4Linux
+(CFS), KS4RTDS (Xen RTDS) and KS4Pisces (the Pisces co-kernel) — is just
+this mixin listed before its base scheduler, which mirrors the paper's
+claim that the approach "can easily be implemented within other systems".
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 from typing import Dict, Optional, TYPE_CHECKING
 
 from repro.contracts import InvariantChecker, contracts_enabled
+from repro.schedulers.base import Scheduler
 from repro.telemetry import MetricsRecorder, current_recorder
 
 from .monitor import DirectPmcMonitor, MonitorError, PollutionMonitor
@@ -24,6 +27,7 @@ from .pollution import PollutionAccount
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hypervisor.system import VirtualizedSystem
+    from repro.hypervisor.vcpu import VCpu
     from repro.hypervisor.vm import VirtualMachine
 
 
@@ -270,3 +274,57 @@ class KyotoEngine:
         """Current pollution quota (None if unmanaged)."""
         account = self.accounts.get(vm.vm_id)
         return None if account is None else account.quota
+
+
+class KyotoScheduler(Scheduler):
+    """Pollution permits on top of a concrete scheduler.
+
+    List it first among a port's bases (``class KS4Xen(KyotoScheduler,
+    CreditScheduler)``): every hook below runs the base scheduler's own
+    hook through ``super()`` and then the engine's, and ``is_parked``
+    parks a VM whose pollution quota is negative.  The engine is built on
+    :meth:`attach` and exposed as ``self.kyoto``.
+    """
+
+    def __init__(
+        self,
+        monitor: Optional[PollutionMonitor] = None,
+        quota_max_factor: float = 3.0,
+        monitor_period_ticks: int = 1,
+        quota_min_factor: Optional[float] = None,
+    ) -> None:
+        super().__init__()
+        self._monitor = monitor
+        self._quota_max_factor = quota_max_factor
+        self._monitor_period_ticks = monitor_period_ticks
+        self._quota_min_factor = quota_min_factor
+        self.kyoto: Optional[KyotoEngine] = None
+
+    def attach(self, system: "VirtualizedSystem") -> None:
+        super().attach(system)
+        self.kyoto = KyotoEngine(
+            system,
+            monitor=self._monitor,
+            quota_max_factor=self._quota_max_factor,
+            monitor_period_ticks=self._monitor_period_ticks,
+            quota_min_factor=self._quota_min_factor,
+        )
+
+    def on_vcpu_registered(self, vcpu: "VCpu", core_id: int) -> None:
+        super().on_vcpu_registered(vcpu, core_id)
+        self.kyoto.register_vm(vcpu.vm)
+
+    def on_vm_retiring(self, vm: "VirtualMachine") -> None:
+        super().on_vm_retiring(vm)
+        self.kyoto.retire_vm(vm)
+
+    def is_parked(self, vcpu: "VCpu") -> bool:
+        return self.kyoto.is_parked(vcpu.vm)
+
+    def on_tick_end(self, tick_index: int) -> None:
+        super().on_tick_end(tick_index)
+        self.kyoto.on_tick_end(tick_index)
+
+    def on_accounting(self, tick_index: int) -> None:
+        super().on_accounting(tick_index)
+        self.kyoto.on_accounting(tick_index)

@@ -12,55 +12,12 @@ booked level is exactly what the VM did *not* pay for.)
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
-
 from repro.schedulers.rtds import RtdsScheduler
 
-from .engine import KyotoEngine
-from .monitor import PollutionMonitor
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.hypervisor.system import VirtualizedSystem
-    from repro.hypervisor.vcpu import VCpu
+from .engine import KyotoScheduler
 
 
-class KS4RTDS(RtdsScheduler):
+class KS4RTDS(KyotoScheduler, RtdsScheduler):
     """RTDS + pollution permits."""
 
     name = "ks4rtds"
-
-    def __init__(
-        self,
-        monitor: Optional[PollutionMonitor] = None,
-        quota_max_factor: float = 3.0,
-        monitor_period_ticks: int = 1,
-    ) -> None:
-        super().__init__()
-        self._monitor = monitor
-        self._quota_max_factor = quota_max_factor
-        self._monitor_period_ticks = monitor_period_ticks
-        self.kyoto: Optional[KyotoEngine] = None
-
-    def attach(self, system: "VirtualizedSystem") -> None:
-        super().attach(system)
-        self.kyoto = KyotoEngine(
-            system,
-            monitor=self._monitor,
-            quota_max_factor=self._quota_max_factor,
-            monitor_period_ticks=self._monitor_period_ticks,
-        )
-
-    def on_vcpu_registered(self, vcpu: "VCpu", core_id: int) -> None:
-        super().on_vcpu_registered(vcpu, core_id)
-        self.kyoto.register_vm(vcpu.vm)
-
-    def is_parked(self, vcpu: "VCpu") -> bool:
-        return self.kyoto.is_parked(vcpu.vm)
-
-    def on_tick_end(self, tick_index: int) -> None:
-        super().on_tick_end(tick_index)
-        self.kyoto.on_tick_end(tick_index)
-
-    def on_accounting(self, tick_index: int) -> None:
-        super().on_accounting(tick_index)
-        self.kyoto.on_accounting(tick_index)

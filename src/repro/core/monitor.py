@@ -324,61 +324,6 @@ class SocketDedicationMonitor(PollutionMonitor):
             raise MonitorError(f"socket dedication window failed: {exc}") from exc
 
 
-class FaultInjectingMonitor(PollutionMonitor):
-    """Wraps a monitor with injected measurement faults (for testing).
-
-    Real monitoring pipelines lose samples (counter multiplexing, NMI
-    windows) and carry noise.  The enforcement engine must stay sane
-    under both, and this wrapper lets tests prove it:
-
-    * ``drop_every``: every n-th sample is lost (reported as 0.0, as a
-      missed sampling window would be),
-    * ``noise_fraction``: multiplicative noise, uniform in
-      ``[1-f, 1+f]``, from a seeded RNG (deterministic tests), or an
-      injected ``rng`` stream (e.g. ``RngRegistry.stream``).
-    """
-
-    name = "fault-injecting"
-
-    def __init__(
-        self,
-        inner: PollutionMonitor,
-        drop_every: int = 0,
-        noise_fraction: float = 0.0,
-        seed: int = 0,
-        rng=None,
-    ) -> None:
-        super().__init__(inner.system)
-        if drop_every < 0:
-            raise ValueError(f"drop_every must be >= 0, got {drop_every}")
-        if not 0.0 <= noise_fraction < 1.0:
-            raise ValueError(
-                f"noise_fraction must be in [0,1), got {noise_fraction}"
-            )
-        from repro.simulation.rng import seeded_stream
-
-        self.inner = inner
-        self.drop_every = drop_every
-        self.noise_fraction = noise_fraction
-        # Nameless stream is deliberate: the PMC-noise goldens pin sha256
-        # digests of runs seeded exactly this way; renaming would reseed.
-        self._rng = rng if rng is not None else seeded_stream(seed)  # kyotolint: disable=S002
-        self._count = 0
-        self.dropped = 0
-
-    def sample(self, vm: "VirtualMachine") -> float:
-        value = self.inner.sample(vm)
-        self._count += 1
-        if self.drop_every and self._count % self.drop_every == 0:
-            self.dropped += 1
-            return 0.0
-        if self.noise_fraction:
-            value *= 1.0 + self._rng.uniform(
-                -self.noise_fraction, self.noise_fraction
-            )
-        return value
-
-
 class McSimReplayMonitor(PollutionMonitor):
     """Monitor using the McSimA+-style replay service.
 

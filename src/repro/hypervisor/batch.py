@@ -364,7 +364,7 @@ class BatchTickEngine:
         system.last_tick_cycles = {}
         system.last_tick_misses = {}
         system.last_tick_instructions = {}
-        now_usec = system.engine.clock.now_usec
+        now_usec = system.now_usec
         pending_map = system._pending_penalty_cycles
         slots = self.slots
         dirty = self._dirty

@@ -38,7 +38,6 @@ from repro.simulation.clock import (
     XEN_TICK_USEC,
     usec_to_cycles,
 )
-from repro.simulation.engine import Engine
 from repro.simulation.rng import RngRegistry
 from repro.telemetry import MetricsRecorder, current_recorder
 
@@ -128,7 +127,9 @@ class VirtualizedSystem:
             for core_id, bank in self.core_counters.items()
         }
 
-        self.engine = Engine(recorder=self.recorder)
+        #: Simulated time in integer microseconds: a plain tick clock,
+        #: advanced by ``tick_usec`` once per tick, before the observers.
+        self.now_usec = 0
         self.vms: List[VirtualMachine] = []
         self.vcpus: List[VCpu] = []
         # Monotonic id counters: ids are never reused, so a retired VM's
@@ -491,7 +492,7 @@ class VirtualizedSystem:
         self.scheduler.on_tick_end(self.tick_index)
         if (self.tick_index + 1) % self.ticks_per_slice == 0:
             self.scheduler.on_accounting(self.tick_index)
-        self.engine.clock.advance(self.tick_usec)
+        self.now_usec += self.tick_usec
         if self.recorder.enabled:
             # Per-tick aggregates; guarded so disabled telemetry skips
             # the summations entirely.
@@ -611,5 +612,5 @@ class VirtualizedSystem:
         miss_pmc.add(vcpu.take_integer_misses(llc_misses))
         ref_pmc.add(vcpu.take_integer_accesses(llc_accesses))
         if progress.done and progress.finished_at_usec is None:
-            progress.finished_at_usec = self.engine.clock.now_usec
+            progress.finished_at_usec = self.now_usec
         return llc_misses, behavior

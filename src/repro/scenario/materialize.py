@@ -93,6 +93,20 @@ class Materialized:
             self._uninstallers.pop()()
 
 
+_BASE_SCHEDULERS = {
+    "xcs": CreditScheduler,
+    "cfs": CfsScheduler,
+    "rtds": RtdsScheduler,
+    "pisces": PiscesCoKernel,
+}
+_KYOTO_SCHEDULERS = {
+    "ks4xen": KS4Xen,
+    "ks4linux": KS4Linux,
+    "ks4rtds": KS4RTDS,
+    "ks4pisces": KS4Pisces,
+}
+
+
 def machine_for(preset: str) -> MachineSpec:
     """Resolve a machine preset name to its :class:`MachineSpec`."""
     if preset == "paper":
@@ -105,27 +119,17 @@ def machine_for(preset: str) -> MachineSpec:
 def scheduler_for(spec: ScenarioSpec):
     """Construct the scheduler the spec asks for (monitor attached later)."""
     kind = spec.scheduler.kind
-    if kind == "xcs":
-        return CreditScheduler()
-    if kind == "cfs":
-        return CfsScheduler()
-    if kind == "rtds":
-        return RtdsScheduler()
-    if kind == "pisces":
-        return PiscesCoKernel()
-    kwargs = dict(
+    base = _BASE_SCHEDULERS.get(kind)
+    if base is not None:
+        return base()
+    kyoto = _KYOTO_SCHEDULERS.get(kind)
+    if kyoto is None:
+        raise ScenarioError([f"scheduler.kind: unknown kind {kind!r}"])
+    return kyoto(
         quota_max_factor=spec.scheduler.quota_max_factor,
         monitor_period_ticks=spec.scheduler.monitor_period_ticks,
+        quota_min_factor=spec.scheduler.quota_min_factor,
     )
-    if kind == "ks4xen":
-        return KS4Xen(quota_min_factor=spec.scheduler.quota_min_factor, **kwargs)
-    if kind == "ks4linux":
-        return KS4Linux(**kwargs)
-    if kind == "ks4rtds":
-        return KS4RTDS(**kwargs)
-    if kind == "ks4pisces":
-        return KS4Pisces(**kwargs)
-    raise ScenarioError([f"scheduler.kind: unknown kind {kind!r}"])
 
 
 def workload_for(spec: WorkloadSpec) -> Workload:

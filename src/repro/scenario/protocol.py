@@ -72,7 +72,7 @@ def budget_exhausted_message(
     Campaign artifacts capture this text verbatim, so it must say *how
     far* the VM got, not just that the budget ran out.
     """
-    elapsed_sim_sec = system.engine.clock.now_usec / 1e6
+    elapsed_sim_sec = system.now_usec / 1e6
     done = sum(vcpu.progress.instructions_done for vcpu in vm.vcpus)
     total = sum(
         vcpu.progress.workload.total_instructions or 0.0 for vcpu in vm.vcpus

@@ -74,8 +74,8 @@ def _spec_class(hint: Any) -> Optional[type]:
 def _coerce(value: Any, hint: Any) -> Any:
     """``value`` as the scalar type ``hint``, or ``TypeError``.
 
-    Integers widen to ``float`` and lists become tuples; a bool is never
-    a number.
+    Integers widen to ``float`` (``OverflowError`` past the float range)
+    and lists become tuples; a bool is never a number.
     """
     if get_origin(hint) is tuple:
         args = get_args(hint)
@@ -124,7 +124,9 @@ def _read_field(
             return _coerce(value, hint)
         except TypeError:
             errors.append(f"{path}: expected {_EXPECTED[hint]}, got {value!r}")
-            return None
+        except OverflowError:
+            errors.append(f"{path}: integer is too large for a float")
+        return None
     if is_table:
         if isinstance(value, Mapping):
             return _read_table(spec_cls, value, path, errors)

@@ -20,8 +20,9 @@ so one spec pins one bit-exact run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.faults.plan import KNOWN_SITES
 
@@ -81,9 +82,29 @@ class _Errors:
 
     def __init__(self) -> None:
         self.items: List[str] = []
+        #: Paths already reported as NaN/inf; their range checks are moot.
+        self._non_finite: Set[str] = set()
 
     def add(self, path: str, message: str) -> None:
-        self.items.append(f"{path}: {message}")
+        if path not in self._non_finite:
+            self.items.append(f"{path}: {message}")
+
+    def reject_non_finite(self, spec: Any, path: str = "") -> None:
+        """Report every NaN or infinite float field of ``spec``, nested
+        specs included, at the path its own ``validate`` would use."""
+        for spec_field in fields(spec):
+            name = spec_field.name
+            value = getattr(spec, name)
+            where = f"{path}.{name}" if path else name
+            if isinstance(value, float) and not math.isfinite(value):
+                self.add(where, f"must be a finite number, got {value}")
+                self._non_finite.add(where)
+            elif is_dataclass(value):
+                self.reject_non_finite(value, where)
+            elif isinstance(value, tuple):
+                for i, item in enumerate(value):
+                    if is_dataclass(item):
+                        self.reject_non_finite(item, f"{where}[{i}]")
 
     def raise_if_any(self) -> None:
         if self.items:
@@ -744,6 +765,7 @@ class ScenarioSpec:
     def validate(self) -> "ScenarioSpec":
         """Raise :class:`ScenarioError` listing every problem found."""
         errors = _Errors()
+        errors.reject_non_finite(self)
         if self.schema != SCENARIO_SCHEMA:
             errors.add(
                 "schema",

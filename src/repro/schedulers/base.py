@@ -4,10 +4,12 @@ A scheduler owns vCPU placement: at every tick start it decides, for each
 core, which vCPU runs; at tick end it burns credits/accounts runtime; at
 every accounting period (Xen's 30 ms time slice) it refills budgets.
 
-The Kyoto extensions (KS4Xen, KS4Linux, KS4Pisces) subclass the concrete
-schedulers and add pollution enforcement through the ``is_parked`` hook —
-mirroring how the real KS4Xen is a ~110 LOC patch on top of the credit
-scheduler rather than a new scheduler.
+The four Kyoto ports (KS4Xen, KS4Linux, KS4RTDS, KS4Pisces) each combine
+one concrete scheduler with the same mixin,
+:class:`~repro.core.engine.KyotoScheduler`, which adds pollution
+enforcement through the ``is_parked`` hook and settles a VM's permit in
+``on_vm_retiring`` — mirroring how the real KS4Xen is a ~110 LOC patch on
+top of the credit scheduler rather than a new scheduler.
 """
 
 from __future__ import annotations
@@ -77,15 +79,8 @@ class Scheduler(ABC):
 
     def on_vm_retiring(self, vm: "VirtualMachine") -> None:
         """Called by the system at the start of :meth:`retire_vm`, while
-        the VM's vCPUs are still schedulable and measurable.
-
-        The default settles the VM's pollution account when a Kyoto
-        engine is attached (every KS4* strategy exposes ``self.kyoto``),
-        so all four Kyoto schedulers get settlement without overriding.
-        """
-        kyoto = getattr(self, "kyoto", None)
-        if kyoto is not None:
-            kyoto.retire_vm(vm)
+        the VM's vCPUs are still schedulable and measurable (optional;
+        the Kyoto mixin settles the VM's pollution account here)."""
 
     def reassign_vcpu(self, vcpu: "VCpu", core_id: int) -> None:
         """Move a vCPU's static assignment (used after migration)."""

@@ -1,7 +1,6 @@
-"""Discrete-event simulation substrate (clock, events, engine, RNG)."""
+"""Simulation substrate: simulated-time units and deterministic RNG."""
 
 from .clock import (
-    Clock,
     USEC_PER_MSEC,
     USEC_PER_SEC,
     XEN_TICK_USEC,
@@ -11,17 +10,10 @@ from .clock import (
     usec_to_cycles,
     usec_to_msec,
 )
-from .engine import Engine, SimulationError
-from .events import Event, EventQueue
 from .rng import RngRegistry, derive_seed
 
 __all__ = [
-    "Clock",
-    "Engine",
-    "Event",
-    "EventQueue",
     "RngRegistry",
-    "SimulationError",
     "USEC_PER_MSEC",
     "USEC_PER_SEC",
     "XEN_TICK_USEC",

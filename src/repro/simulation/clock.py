@@ -1,9 +1,10 @@
-"""Simulated time.
+"""Simulated-time units.
 
 All of the machine simulation runs in *simulated* time, decoupled from wall
-clock.  Time is kept in integer **microseconds** so that tick arithmetic is
-exact: Xen's scheduler tick is 10 ms and its time slice (accounting period)
-is 30 ms, both of which are exact multiples of one microsecond.
+clock.  Time is kept in integer **microseconds** (the ``now_usec`` tick
+clock of ``VirtualizedSystem``) so that tick arithmetic is exact: Xen's
+scheduler tick is 10 ms and its time slice (accounting period) is 30 ms,
+both of which are exact multiples of one microsecond.
 
 Cycle math uses the socket frequency: at 2.8 GHz, one microsecond is 2800
 cycles.  Conversions are provided here so that the rest of the code never
@@ -11,8 +12,6 @@ hand-rolls unit conversions.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 #: Number of microseconds in one millisecond.
 USEC_PER_MSEC = 1_000
@@ -48,46 +47,3 @@ def usec_to_cycles(usec: int, freq_khz: int) -> int:
 def cycles_to_usec(cycles: int, freq_khz: int) -> float:
     """Wall-clock microseconds taken by ``cycles`` cycles at ``freq_khz``."""
     return cycles * 1_000 / freq_khz
-
-
-@dataclass
-class Clock:
-    """Monotonic simulated clock, in integer microseconds.
-
-    The clock only moves forward; :meth:`advance_to` raises if asked to go
-    backwards, which catches event-ordering bugs early.
-    """
-
-    now_usec: int = 0
-    _started: bool = field(default=False, repr=False)
-
-    @property
-    def now_msec(self) -> float:
-        """Current time in milliseconds."""
-        return usec_to_msec(self.now_usec)
-
-    @property
-    def now_sec(self) -> float:
-        """Current time in seconds."""
-        return self.now_usec / USEC_PER_SEC
-
-    def advance(self, delta_usec: int) -> int:
-        """Move the clock forward by ``delta_usec`` and return the new time."""
-        if delta_usec < 0:
-            raise ValueError(f"cannot advance clock by {delta_usec} usec")
-        self.now_usec += delta_usec
-        return self.now_usec
-
-    def advance_to(self, when_usec: int) -> int:
-        """Move the clock forward to the absolute time ``when_usec``."""
-        if when_usec < self.now_usec:
-            raise ValueError(
-                f"clock cannot move backwards: now={self.now_usec}, "
-                f"requested={when_usec}"
-            )
-        self.now_usec = when_usec
-        return self.now_usec
-
-    def reset(self) -> None:
-        """Reset the clock to time zero (used between experiment runs)."""
-        self.now_usec = 0

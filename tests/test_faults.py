@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.ks4xen import KS4Xen
 from repro.core.monitor import DirectPmcMonitor, PollutionMonitor
+from repro.core.resilient import ResilientMonitor
 from repro.experiments import chaos
 from repro.experiments.registry import REGISTRY, experiment_names
 from repro.faults import (
@@ -187,6 +188,27 @@ class TestFaultyMonitor:
         assert monitor.sample(vm) == 42.0  # tick 0: clean
         system.run_ticks(6)
         assert monitor.sample(vm) == 42.0  # stale = last clean value
+
+
+    def test_enforcement_survives_sample_loss(self):
+        """Corrupting a third of the PMC reads behind the resilient
+        monitor (the stack ``materialize`` builds) still punishes the
+        polluter, spares the victim and never wedges."""
+        scheduler = KS4Xen()
+        system = VirtualizedSystem(scheduler)
+        plan = FaultPlan(
+            [FaultSpec(site=SITE_PMC_READ, probability=1 / 3)],
+            rng=seeded_stream(3),
+        )
+        scheduler.kyoto.monitor = ResilientMonitor(
+            system, [FaultyMonitor(DirectPmcMonitor(system), plan)]
+        )
+        sen = make_vm(system, "sen", app="gcc", core=0, llc_cap=250_000.0)
+        dis = make_vm(system, "dis", app="lbm", core=1, llc_cap=250_000.0)
+        system.run_ticks(150)
+        assert plan.injected[SITE_PMC_READ] > 50
+        assert scheduler.kyoto.punishments(dis) > 5
+        assert scheduler.kyoto.punishments(sen) == 0
 
 
 class TestFaultyReplayService:

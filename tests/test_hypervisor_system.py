@@ -79,7 +79,7 @@ class TestExecution:
 
     def test_clock_advances_with_ticks(self, xcs_system):
         xcs_system.run_ticks(2)
-        assert xcs_system.engine.clock.now_usec == 2 * xcs_system.tick_usec
+        assert xcs_system.now_usec == 2 * xcs_system.tick_usec
 
     def test_pmcs_track_execution(self, xcs_system):
         vm = make_vm(xcs_system)

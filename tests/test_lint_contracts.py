@@ -26,7 +26,6 @@ from repro.contracts import (
 )
 from repro.cachesim.occupancy import LlcOccupancyDomain
 from repro.schedulers.credit import CreditScheduler
-from repro.simulation.engine import Engine
 from repro.workloads.profiles import application_workload
 
 
@@ -260,15 +259,6 @@ def test_pollution_account_refill_invariant():
     account.llc_cap = float("nan")
     with pytest.raises(ContractViolation, match="quota-cap"):
         account.refill(ticks=1)
-
-
-def test_simulation_engine_clock_monotonic_contract():
-    engine = Engine()
-    fired = []
-    engine.schedule(5, lambda: fired.append("a"))
-    engine.run_until(10)
-    assert fired == ["a"]
-    assert engine.invariants.evaluated("clock-monotonic") == 1
 
 
 def test_occupancy_conservation_contract_trips_on_corruption():

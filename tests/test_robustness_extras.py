@@ -1,5 +1,4 @@
-"""Tests for the fault-injecting monitor, performance jitter and the
-statistics helpers."""
+"""Tests for performance jitter and the statistics helpers."""
 
 import pytest
 
@@ -9,8 +8,6 @@ from repro.analysis.statistics import (
     mean_confidence_interval,
     student_t_critical,
 )
-from repro.core.ks4xen import KS4Xen
-from repro.core.monitor import DirectPmcMonitor, FaultInjectingMonitor
 from repro.hypervisor.system import VirtualizedSystem
 from repro.schedulers.credit import CreditScheduler
 
@@ -101,50 +98,6 @@ class TestStatistics:
             student_t_critical(0)
         with pytest.raises(ValueError):
             student_t_critical(5, confidence=0.42)
-
-
-class TestFaultInjectingMonitor:
-    def test_validation(self):
-        system = VirtualizedSystem(CreditScheduler())
-        inner = DirectPmcMonitor(system)
-        with pytest.raises(ValueError):
-            FaultInjectingMonitor(inner, drop_every=-1)
-        with pytest.raises(ValueError):
-            FaultInjectingMonitor(inner, noise_fraction=1.0)
-
-    def test_dropped_samples_counted(self):
-        system = VirtualizedSystem(CreditScheduler())
-        vm = make_vm(system, app="lbm")
-        monitor = FaultInjectingMonitor(DirectPmcMonitor(system), drop_every=2)
-        system.run_ticks(5)
-        values = [monitor.sample(vm) for _ in range(4)]
-        assert monitor.dropped == 2
-        assert values[1] == 0.0 and values[3] == 0.0
-
-    def test_enforcement_survives_sample_loss(self):
-        """Losing every third sample under-charges the polluter but the
-        engine still punishes it and never wedges."""
-        scheduler = KS4Xen()
-        system = VirtualizedSystem(scheduler)
-        scheduler.kyoto.monitor = FaultInjectingMonitor(
-            scheduler.kyoto.monitor, drop_every=3
-        )
-        make_vm(system, "sen", app="gcc", core=0, llc_cap=250_000.0)
-        dis = make_vm(system, "dis", app="lbm", core=1, llc_cap=250_000.0)
-        system.run_ticks(150)
-        assert scheduler.kyoto.punishments(dis) > 5
-
-    def test_enforcement_survives_noise(self):
-        scheduler = KS4Xen()
-        system = VirtualizedSystem(scheduler)
-        scheduler.kyoto.monitor = FaultInjectingMonitor(
-            scheduler.kyoto.monitor, noise_fraction=0.3, seed=5
-        )
-        make_vm(system, "sen", app="gcc", core=0, llc_cap=250_000.0)
-        dis = make_vm(system, "dis", app="lbm", core=1, llc_cap=250_000.0)
-        system.run_ticks(150)
-        assert scheduler.kyoto.punishments(dis) > 5
-        assert scheduler.kyoto.punishments(system.vm_by_name("sen")) == 0
 
 
 class TestPerfJitter:

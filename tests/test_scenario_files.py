@@ -164,6 +164,26 @@ class TestCli:
         assert "bad.json: INVALID" in captured
         assert "at least one VM" in captured
 
+    def test_scenario_validate_rejects_unrepresentable_numbers(self, tmp_path):
+        nan_doc = _tiny_doc(
+            scheduler={"kind": "ks4xen", "quota_max_factor": float("inf")},
+            vms=[{"name": "v", "workload": {"app": "gcc"},
+                  "llc_cap": float("nan")}],
+        )
+        nan = _write_json(tmp_path, nan_doc, "nan.json")
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(_tiny_doc()).replace(
+            '"workload"', f'"llc_cap": {10**400}, "workload"'
+        ))
+        out = io.StringIO()
+        assert cli.validate_scenarios([nan, str(huge)], out=out) == 2
+        captured = out.getvalue()
+        assert "nan.json: INVALID" in captured
+        assert "scheduler.quota_max_factor: must be a finite number" in captured
+        assert "vms[0].llc_cap: must be a finite number, got nan" in captured
+        assert "huge.json: INVALID" in captured
+        assert "vms[0].llc_cap: integer is too large for a float" in captured
+
     def test_scenario_show_json_is_lossless(self, tmp_path):
         path = _write_json(tmp_path, _tiny_doc())
         out = io.StringIO()

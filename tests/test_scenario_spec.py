@@ -307,6 +307,32 @@ class TestReaderErrorLists:
             pytest.param(
                 [1], [": expected a table, got list"], id="non-mapping-root"
             ),
+            pytest.param(
+                _doc(
+                    scheduler={"kind": "ks4xen",
+                               "quota_max_factor": float("inf")},
+                    vms=[{"name": "v", "workload": {"app": "gcc"},
+                          "llc_cap": float("nan"),
+                          "cap_percent": float("-inf")}],
+                    faults={"sites": [{"site": "pmc.read",
+                                       "probability": float("nan")}]},
+                ),
+                [
+                    "scheduler.quota_max_factor: must be a finite number, "
+                    "got inf",
+                    "vms[0].cap_percent: must be a finite number, got -inf",
+                    "vms[0].llc_cap: must be a finite number, got nan",
+                    "faults.sites[0].probability: must be a finite number, "
+                    "got nan",
+                ],
+                id="non-finite-floats",
+            ),
+            pytest.param(
+                _doc(vms=[{"name": "v", "workload": {"app": "gcc"},
+                           "llc_cap": 10**400}]),
+                ["vms[0].llc_cap: integer is too large for a float"],
+                id="float-overflow",
+            ),
         ],
     )
     def test_error_list(self, doc, expected):

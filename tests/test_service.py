@@ -19,8 +19,12 @@ import pytest
 
 from repro.cli import build_parser, run_serve
 from repro.core.engine import KyotoEngine
+from repro.core.ks4linux import KS4Linux
+from repro.core.ks4rtds import KS4RTDS
+from repro.core.ks4xen import KS4Xen
 from repro.hypervisor.system import HypervisorError, VirtualizedSystem
 from repro.hypervisor.vm import VmConfig
+from repro.pisces.ks4pisces import KS4Pisces
 from repro.scenario import ScenarioError, from_dict, loads_json, materialize
 from repro.schedulers.credit import CreditScheduler
 from repro.service import (
@@ -327,18 +331,21 @@ class TestKyotoSettlementAtRetire:
         vm = make_vm(system, "besteffort")
         engine.retire_vm(vm)  # no account, no error
 
-    def test_system_retire_settles_via_scheduler_hook(self):
-        """KS4-style schedulers expose ``.kyoto``; retire_vm settles
-        through them without scheduler-specific code."""
+    @pytest.mark.parametrize(
+        "scheduler_cls",
+        [KS4Xen, KS4Linux, KS4RTDS, KS4Pisces],
+        ids=lambda cls: cls.name,
+    )
+    def test_system_retire_settles_via_scheduler_hook(self, scheduler_cls):
+        """Every Kyoto port settles a retiring VM's permit through the
+        shared mixin's ``on_vm_retiring`` hook."""
         recorder = MetricsRecorder()
         with recording(recorder):
-            system = VirtualizedSystem(CreditScheduler())
-            engine = KyotoEngine(system)
-        system.scheduler.kyoto = engine
+            system = VirtualizedSystem(scheduler_cls())
         vm = make_vm(system, "managed", app="lbm", llc_cap=1_000.0)
-        engine.register_vm(vm)
         system.run_ticks(5)
         system.retire_vm(vm)
+        assert system.scheduler.kyoto.account_of(vm) is None
         assert recorder.counters["kyoto.accounts_retired"] == 1.0
 
 
@@ -453,8 +460,6 @@ class TestServiceLoop:
         recorder = MetricsRecorder(max_series_points=128)
         with recording(recorder):
             system = VirtualizedSystem(CreditScheduler())
-            engine = KyotoEngine(system)
-        system.scheduler.kyoto = engine
 
         def observe(s, tick):
             for vm in s.vms:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.simulation.clock import (
-    Clock,
     USEC_PER_MSEC,
     USEC_PER_SEC,
     XEN_TICK_USEC,
@@ -47,56 +46,3 @@ class TestConversions:
     def test_cycles_to_usec_inverse(self):
         cycles = usec_to_cycles(777, 2_800_000)
         assert cycles_to_usec(cycles, 2_800_000) == pytest.approx(777)
-
-
-class TestClock:
-    def test_starts_at_zero(self):
-        assert Clock().now_usec == 0
-
-    def test_advance(self):
-        clock = Clock()
-        assert clock.advance(100) == 100
-        assert clock.now_usec == 100
-
-    def test_advance_accumulates(self):
-        clock = Clock()
-        clock.advance(10)
-        clock.advance(20)
-        assert clock.now_usec == 30
-
-    def test_advance_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Clock().advance(-1)
-
-    def test_advance_to(self):
-        clock = Clock()
-        clock.advance_to(500)
-        assert clock.now_usec == 500
-
-    def test_advance_to_backwards_rejected(self):
-        clock = Clock()
-        clock.advance_to(500)
-        with pytest.raises(ValueError):
-            clock.advance_to(499)
-
-    def test_advance_to_same_time_ok(self):
-        clock = Clock()
-        clock.advance_to(500)
-        clock.advance_to(500)
-        assert clock.now_usec == 500
-
-    def test_now_msec(self):
-        clock = Clock()
-        clock.advance(2_500)
-        assert clock.now_msec == 2.5
-
-    def test_now_sec(self):
-        clock = Clock()
-        clock.advance(1_500_000)
-        assert clock.now_sec == 1.5
-
-    def test_reset(self):
-        clock = Clock()
-        clock.advance(100)
-        clock.reset()
-        assert clock.now_usec == 0
